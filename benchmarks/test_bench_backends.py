@@ -273,9 +273,7 @@ def test_numpy_backend_driver_end_to_end(run_once):
 
     def run(backend):
         platform = EvolvableHardwarePlatform(n_arrays=3, seed=2013, backend=backend)
-        driver = ParallelEvolution(
-            platform, n_offspring=9, mutation_rate=3, rng=2013, batched=True
-        )
+        driver = ParallelEvolution(platform, n_offspring=9, mutation_rate=3, rng=2013)
         return driver.run(pair.training, pair.reference, n_generations=200)
 
     best = {}
@@ -293,7 +291,7 @@ def test_numpy_backend_driver_end_to_end(run_once):
     numpy_speedup = best["reference"] / best["numpy"]
     compiled_speedup = best["reference"] / best["compiled"]
     print_table(
-        "ParallelEvolution end to end (200 generations, batched, 32x32)",
+        "ParallelEvolution end to end (200 generations, 32x32)",
         [
             {"backend": "reference", "wall_s": best["reference"]},
             {"backend": "numpy", "wall_s": best["numpy"], "speedup": numpy_speedup},

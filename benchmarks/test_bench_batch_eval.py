@@ -1,11 +1,13 @@
-"""Benchmark: vectorised batch evaluation vs the per-candidate loop.
+"""Benchmark: fused population evaluation vs the per-candidate loop.
 
-The Session API scores all λ offspring of a generation through one
-windowed NumPy pass (:func:`repro.core.evolution.evaluate_batch`) instead
-of looping candidate by candidate.  This benchmark runs both paths on the
-Fig. 12/13 measured workload — λ = 9 offspring per generation, mutation
-rates k = 1, 3, 5, 32x32 training image — checks bit-exact agreement, and
-asserts the ≥ 2x aggregate speedup the batched hot path is wired in for.
+The evolution drivers score all λ offspring of a generation through one
+:meth:`repro.array.systolic_array.SystolicArray.evaluate_population` call
+instead of sweeping the array and reducing the error candidate by
+candidate.  This benchmark runs both on the Fig. 12/13 measured workload —
+λ = 9 offspring per generation, mutation rates k = 1, 3, 5, 32x32
+training image — on the same (uncached) array, checks bit-exact
+agreement, and asserts the ≥ 2x aggregate speedup of the population entry
+point.
 """
 
 import time
@@ -15,10 +17,11 @@ import numpy as np
 from conftest import print_table
 
 from repro.array.genotype import Genotype
-from repro.core.evolution import ArrayEvalContext, evaluate_batch
-from repro.core.platform import EvolvableHardwarePlatform
+from repro.array.systolic_array import SystolicArray
+from repro.array.window import extract_windows
 from repro.ea.mutation import mutate
 from repro.imaging.images import make_training_pair
+from repro.imaging.metrics import sae
 
 IMAGE_SIDE = 32
 N_OFFSPRING = 9
@@ -42,15 +45,15 @@ def test_batch_evaluation_speedup(run_once):
     pair = make_training_pair(
         "salt_pepper_denoise", size=IMAGE_SIDE, seed=2013, noise_level=0.1
     )
-    platform = EvolvableHardwarePlatform(n_arrays=3, seed=1)
-    context = ArrayEvalContext(platform, 0, pair.training)
+    array = SystolicArray()
+    planes = extract_windows(pair.training)
 
     rows = []
     total_sequential = 0.0
-    total_batched = 0.0
+    total_population = 0.0
     for k in MUTATION_RATES:
         rng = np.random.default_rng(3)
-        parent = Genotype.random(platform.spec, rng)
+        parent = Genotype.random(array.geometry.spec(), rng)
         generations = [
             [mutate(parent, k, rng).genotype for _ in range(N_OFFSPRING)]
             for _ in range(N_GENERATIONS)
@@ -58,82 +61,52 @@ def test_batch_evaluation_speedup(run_once):
 
         sequential_s, sequential = _measure(
             lambda: [
-                [context.fitness(genotype, pair.reference) for genotype in batch]
+                [sae(array.process_planes(planes, genotype), pair.reference) for genotype in batch]
                 for batch in generations
             ]
         )
-        batched_s, batched = _measure(
+        population_s, population = _measure(
             lambda: [
-                evaluate_batch(context, batch, pair.reference)
+                array.evaluate_population(planes, batch, pair.reference).tolist()
                 for batch in generations
             ]
         )
-        assert sequential == batched  # bit-exact parity
+        assert sequential == population  # bit-exact parity
         total_sequential += sequential_s
-        total_batched += batched_s
+        total_population += population_s
         rows.append(
             {
                 "k": k,
                 "sequential_s": sequential_s,
-                "batched_s": batched_s,
-                "speedup": sequential_s / batched_s,
+                "population_s": population_s,
+                "speedup": sequential_s / population_s,
             }
         )
 
-    aggregate = total_sequential / total_batched
+    aggregate = total_sequential / total_population
     rows.append(
         {
             "k": "all",
             "sequential_s": total_sequential,
-            "batched_s": total_batched,
+            "population_s": total_population,
             "speedup": aggregate,
         }
     )
     print_table(
-        f"Batched vs per-candidate evaluation "
+        f"Population vs per-candidate evaluation "
         f"({N_OFFSPRING} offspring/gen, {N_GENERATIONS} generations, "
         f"{IMAGE_SIDE}x{IMAGE_SIDE} image)",
         rows,
-        columns=["k", "sequential_s", "batched_s", "speedup"],
+        columns=["k", "sequential_s", "population_s", "speedup"],
     )
 
-    # The batched hot path must at least halve the evaluation cost of the
-    # Fig. 12/13 workload.
-    assert aggregate >= 2.0, f"batched evaluation speedup {aggregate:.2f}x < 2x"
+    # The population entry point must at least halve the evaluation cost of
+    # the Fig. 12/13 workload.
+    assert aggregate >= 2.0, f"population evaluation speedup {aggregate:.2f}x < 2x"
 
     # run_once records one timed pass for the benchmark report.
     run_once(
-        lambda: [evaluate_batch(context, batch, pair.reference) for batch in generations]
+        lambda: [
+            array.evaluate_population(planes, batch, pair.reference) for batch in generations
+        ]
     )
-
-
-def test_batched_driver_end_to_end_not_slower(run_once):
-    """Whole-driver wall-clock: the batched flag must help, never hurt."""
-    pair = make_training_pair(
-        "salt_pepper_denoise", size=IMAGE_SIDE, seed=2013, noise_level=0.1
-    )
-
-    def run(batched):
-        from repro.core.evolution import ParallelEvolution
-
-        platform = EvolvableHardwarePlatform(n_arrays=3, seed=2013)
-        driver = ParallelEvolution(
-            platform, n_offspring=9, mutation_rate=3, rng=2013, batched=batched
-        )
-        return driver.run(pair.training, pair.reference, n_generations=150)
-
-    sequential_s, sequential = _measure(lambda: run(False))
-    batched_s, batched = _measure(lambda: run(True))
-    assert sequential.best_fitness == batched.best_fitness  # byte parity
-    print_table(
-        "ParallelEvolution end to end (150 generations, 32x32)",
-        [
-            {"path": "per-candidate", "wall_s": sequential_s},
-            {"path": "batched", "wall_s": batched_s},
-            {"path": "speedup", "wall_s": sequential_s / batched_s},
-        ],
-        columns=["path", "wall_s"],
-    )
-    assert batched_s <= sequential_s * 1.05  # never a regression
-
-    run_once(lambda: run(True))

@@ -60,7 +60,6 @@ def _evolve(pair, backend, generations, *, racing=False, fitness_cache=None):
         n_offspring=N_OFFSPRING,
         mutation_rate=MUTATION_RATE,
         rng=11,
-        population_batching=True,
         racing=racing,
         fitness_cache=fitness_cache,
     )

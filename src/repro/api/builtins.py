@@ -58,8 +58,6 @@ class EvolutionStrategy:
             mutation_rate=config.mutation_rate,
             rng=config.seed,
             accept_equal=config.accept_equal,
-            batched=config.batched,
-            population_batching=config.population_batching,
             fitness_cache=config.fitness_cache,
             racing=config.racing,
             scenario=config.scenario,

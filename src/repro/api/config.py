@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import warnings
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Dict, Mapping, Optional, Type, TypeVar, Union
+from typing import Any, ClassVar, Dict, FrozenSet, Mapping, Optional, Type, TypeVar, Union
 
 __all__ = [
     "PlatformConfig",
@@ -36,6 +37,11 @@ C = TypeVar("C", bound="_ConfigBase")
 class _ConfigBase:
     """Shared dict/JSON plumbing of the config dataclasses."""
 
+    #: Keys of removed fields that :meth:`from_dict` still accepts (and
+    #: drops with a :class:`DeprecationWarning`), so configs serialised
+    #: before the removal keep loading.
+    _LEGACY_KEYS: ClassVar[FrozenSet[str]] = frozenset()
+
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict view suitable for JSON serialisation."""
         data: Dict[str, Any] = {}
@@ -48,7 +54,21 @@ class _ConfigBase:
 
     @classmethod
     def from_dict(cls: Type[C], data: Dict[str, Any]) -> C:
-        """Rebuild a config from :meth:`to_dict` output (extra keys rejected)."""
+        """Rebuild a config from :meth:`to_dict` output (extra keys rejected).
+
+        Keys in ``_LEGACY_KEYS`` — the removed generation-step knobs
+        ``batched`` and ``population_batching`` of :class:`EvolutionConfig`
+        (and ``population_batching`` of the red-team config) — are dropped
+        with one :class:`DeprecationWarning`.
+        """
+        legacy = sorted(set(data) & cls._LEGACY_KEYS)
+        if legacy:
+            warnings.warn(
+                f"{cls.__name__} ignores removed field(s): {', '.join(legacy)}",
+                DeprecationWarning,
+                stacklevel=2,
+            )
+            data = {key: value for key, value in data.items() if key not in legacy}
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -183,22 +203,6 @@ class EvolutionConfig(_ConfigBase):
         Optional early-stop threshold.
     accept_equal:
         Whether equal-fitness offspring replace the parent (neutral drift).
-    batched:
-        Score each generation's offspring through the vectorised
-        :func:`~repro.core.evolution.evaluate_batch` pass (byte-identical
-        to the sequential path, just faster).
-    population_batching:
-        Run the whole generation step population-batched: offspring
-        construction through
-        :func:`~repro.ea.mutation.mutate_population`, placement accounting
-        as one vectorised diff per array, and fitness through the
-        evaluation backend's fused
-        :meth:`~repro.backends.base.EvaluationBackend.evaluate_population`
-        entry point.  Byte-identical to the per-candidate path (same RNG
-        streams, same fault draws) on every backend; takes precedence over
-        ``batched``.  JSON round-trips like every other field, so it can
-        be swept or pinned as the ``evolution.population_batching``
-        campaign axis.
     fitness_cache:
         Opt-in persistent cross-run fitness cache: ``None`` (off, the
         default) or a directory path.  Evaluated candidates on fault-free
@@ -261,12 +265,12 @@ class EvolutionConfig(_ConfigBase):
     seed: Optional[int] = None
     target_fitness: Optional[float] = None
     accept_equal: bool = True
-    batched: bool = True
-    population_batching: bool = True
     fitness_cache: Optional[str] = None
     racing: bool = False
     scenario: Union[str, Mapping[str, Any], None] = None
     options: Mapping[str, Any] = field(default_factory=dict)
+
+    _LEGACY_KEYS: ClassVar[FrozenSet[str]] = frozenset({"batched", "population_batching"})
 
     def __post_init__(self) -> None:
         if not self.strategy:

@@ -83,15 +83,6 @@ def add_common_options(
              "time only)",
     )
     parser.add_argument(
-        "--population-batching",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="score each generation's offspring population through the "
-             "backend's fused evaluate_population entry point (bit-exact; "
-             "changes wall-clock time only; --no-population-batching "
-             "restores the per-candidate loop)",
-    )
-    parser.add_argument(
         "--fitness-cache",
         metavar="DIR",
         default=None,

@@ -18,10 +18,11 @@ artifact::
 
 Sessions are deterministic: the same configs produce byte-identical
 results to driving the legacy :mod:`repro.core.evolution` classes by
-hand with the same seeds — the batched and population-batched evaluation
-paths (``EvolutionConfig.batched`` / ``EvolutionConfig.population_batching``)
-are bit-exact against the per-candidate loop, including the per-position
-fault-RNG streams.
+hand with the same seeds.  Every driver runs one generation step — the
+whole offspring population is drawn, placed and scored together — and
+the golden trajectories in ``tests/core/test_golden_trajectories.py``
+pin its results, per-position fault-RNG streams included, on every
+backend.
 """
 
 from __future__ import annotations

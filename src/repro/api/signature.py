@@ -42,9 +42,11 @@ __all__ = ["canonical_json", "content_signature", "run_signature"]
 #: fitnesses are computed (cache tiers, racing early rejection — see
 #: :mod:`repro.ea.pipeline`), never what they are, so two runs differing
 #: only in these knobs produce identical artifacts and may share one
-#: dedupe entry.  Excluded from :func:`run_signature`.  The pre-1.9 knobs
-#: with the same property (``batched``, ``population_batching``) stay in
-#: the signature so every signature computed before 1.9 remains valid.
+#: dedupe entry.  Excluded from :func:`run_signature`.  The evolution
+#: config no longer carries the removed generation-step knobs, so run
+#: signatures computed while it did differ from today's: such dedupe-cache
+#: entries miss once and are recomputed (campaign resume is keyed by run
+#: id, not signature, and is unaffected).
 _VALUE_TRANSPARENT_EVOLUTION_KNOBS = frozenset({"fitness_cache", "racing"})
 
 

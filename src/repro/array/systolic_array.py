@@ -319,7 +319,8 @@ class SystolicArray:
     ) -> np.ndarray:
         """Evaluate a batch of candidate circuits in one windowed NumPy pass.
 
-        This is the vectorised hot path behind ``evaluate_batch``: instead of
+        This is the vectorised pass behind the default
+        :meth:`evaluate_population`: instead of
         sweeping the array once per candidate (``len(genotypes)`` passes of
         ``rows*cols`` whole-image operations each), the whole batch is handed
         to the evaluation backend, which exploits the genes the candidates

@@ -104,7 +104,7 @@ class EvaluationBackend:
 
         The default implementation loops over :meth:`process_planes`,
         which is always bit-exact; engines override it with a faster
-        batched path.
+        vectorised pass.
         """
         outputs = [self.process_planes(array, planes, genotype) for genotype in genotypes]
         return np.stack(outputs)

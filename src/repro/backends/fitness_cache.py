@@ -173,6 +173,24 @@ def _file_lock(lock_path: Path):
             fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
 
+def append_healed(path: Path, text: str) -> None:
+    """Append ``text`` (whole newline-terminated lines) to ``path`` and fsync.
+
+    Callers hold the file's advisory lock.  A writer killed mid-append
+    leaves the file without a trailing newline; the append then starts a
+    new line first, so the new lines never join the orphan fragment (which
+    readers skip as unparseable).
+    """
+    with path.open("a+b") as handle:
+        if handle.seek(0, os.SEEK_END) > 0:
+            handle.seek(-1, os.SEEK_END)
+            if handle.read(1) != b"\n":
+                text = "\n" + text
+        handle.write(text.encode("utf-8"))
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
 class PersistentFitnessCache:
     """Cross-run fitness cache: one directory, shared between workers.
 
@@ -292,10 +310,7 @@ class PersistentFitnessCache:
                     json.dumps({"key": key, "fitness": value}, sort_keys=True) + "\n"
                     for key, value in fresh.items()
                 )
-                with open(self.index_path, "a", encoding="utf-8") as handle:
-                    handle.write(lines)
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                append_healed(self.index_path, lines)
                 self._entries.update(fresh)
                 self._loaded_size = self.index_path.stat().st_size
         return len(fresh)

@@ -24,7 +24,6 @@ from repro.core.evolution import (
     IndependentEvolution,
     ParallelEvolution,
     PlatformEvolutionResult,
-    evaluate_batch,
 )
 from repro.core.modes import (
     CascadeFitnessMode,
@@ -56,7 +55,6 @@ __all__ = [
     "IndependentEvolution",
     "ParallelEvolution",
     "PlatformEvolutionResult",
-    "evaluate_batch",
     "CascadeFitnessMode",
     "CascadeSchedule",
     "CascadeStyle",

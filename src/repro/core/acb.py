@@ -28,7 +28,6 @@ timing model charges for.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -185,15 +184,6 @@ class ArrayControlBlock:
             # so repeated experiments are reproducible.
             seed = hash((self.index, position)) & 0x7FFFFFFF
             self.array.inject_fault(position, seed)
-
-    def _sync_faults(self) -> None:
-        """Deprecated alias of :meth:`sync_faults` (kept for compatibility)."""
-        warnings.warn(
-            "ArrayControlBlock._sync_faults is deprecated; use sync_faults()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.sync_faults()
 
     # ------------------------------------------------------------------ #
     # Control registers / modes

@@ -11,6 +11,11 @@ all of them share the same building blocks:
   number of PE positions whose function gene differs from what is currently
   configured on that array — exactly what the shared reconfiguration engine
   would have to rewrite;
+* every generation is one population step: the λ offspring are drawn
+  together (:func:`~repro.ea.mutation.mutate_population`), each array
+  accounts the placement of its share in one vectorised diff, and each
+  array scores its share through the fused
+  :meth:`ArrayEvalContext.fitness_population` entry point;
 * placement order and parallel evaluation follow the Fig. 11 schedule, and
   the platform time of the run is accounted by a
   :class:`~repro.core.scheduler.GenerationScheduler`;
@@ -31,7 +36,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,9 +46,11 @@ from repro.backends.fitness_cache import PersistentFitnessCache
 from repro.core.modes import CascadeFitnessMode, CascadeSchedule
 from repro.core.platform import EvolvableHardwarePlatform
 from repro.core.scheduler import GenerationScheduler
-from repro.ea.mutation import MutationResult, mutate, mutate_population
+# ``mutate`` is not called here; it stays importable from this module because
+# the scoreboard's span tracer patches it by name.
+from repro.ea.mutation import MutationResult, mutate, mutate_population  # noqa: F401
 from repro.ea.pipeline import FitnessPipeline, resolve_persistent_cache
-from repro.imaging.metrics import sae, sae_batch
+from repro.imaging.metrics import sae
 from repro.timing.model import EvolutionTimingModel
 
 __all__ = [
@@ -54,7 +61,6 @@ __all__ = [
     "ParallelEvolution",
     "CascadedEvolution",
     "ImitationEvolution",
-    "evaluate_batch",
 ]
 
 
@@ -92,9 +98,8 @@ class PlatformEvolutionResult:
     #: persistent-tier ``persistent_hits``/``persistent_misses``, and the
     #: ``full_evaluations``/``partial_evaluations``/``racing_rejected``
     #: racing counters (see :class:`repro.ea.pipeline.FitnessPipeline`).
-    #: Not part of the cross-engine parity contract — the engines batch
-    #: candidates onto contexts differently, so per-run counter totals may
-    #: legitimately differ while every fitness value stays byte-identical.
+    #: Not part of the trajectory contract: how candidates are grouped onto
+    #: contexts decides the hit/miss split, never a fitness value.
     fitness_cache_stats: Dict[str, int] = field(default_factory=dict)
 
     def overall_best_fitness(self) -> float:
@@ -113,14 +118,11 @@ class ArrayEvalContext:
 
     Extracts the window planes of the training image once and tracks the
     function genes currently placed on the array, so candidate evaluation
-    and reconfiguration accounting are both cheap.  This is the handle
-    :func:`evaluate_batch` scores candidates through.
+    and reconfiguration accounting are both cheap.
 
     Every fitness request delegates to a staged
     :class:`~repro.ea.pipeline.FitnessPipeline` — the in-process cache
-    tier (the successor of the pre-1.9 genotype-keyed memo of the
-    population path, now shared by the sequential and batched paths too),
-    the opt-in persistent tier and the opt-in racing stage.  On a faulty
+    tier, the opt-in persistent tier and the opt-in racing stage.  On a faulty
     array the pipeline bypasses every cache so each candidate consumes its
     per-position fault draws, keeping runs byte-identical to uncached
     evaluation; the bypasses are counted, not silent (see
@@ -183,17 +185,9 @@ class ArrayEvalContext:
         """Array output for ``genotype`` on the cached training image."""
         return self.acb.array.process_planes(self.planes, genotype)
 
-    def outputs_batch(self, genotypes: Sequence[Genotype]) -> np.ndarray:
-        """Array outputs for a batch of candidates, as one ``(B, H, W)`` pass."""
-        return self.acb.array.process_planes_batch(self.planes, genotypes)
-
     def fitness(self, genotype: Genotype, reference: np.ndarray) -> float:
         """Aggregated MAE of the candidate against ``reference``."""
         return self.pipeline.evaluate(self.planes, genotype, reference)
-
-    def fitness_batch(self, genotypes: Sequence[Genotype], reference: np.ndarray) -> List[float]:
-        """Aggregated MAE of each candidate against ``reference`` (one fused pass)."""
-        return self.pipeline.evaluate_population(self.planes, genotypes, reference)
 
     def fitness_population(
         self,
@@ -203,8 +197,8 @@ class ArrayEvalContext:
     ) -> List[float]:
         """Aggregated MAE per candidate through the staged pipeline.
 
-        The fused path of the population-batched engine: fitness values come
-        out of the pipeline's backing
+        The drivers' generation step scores offspring here: fitness values
+        come out of the pipeline's backing
         :meth:`~repro.array.systolic_array.SystolicArray.evaluate_population`
         call, short-circuited by the cache tiers where the exact value is
         already known.  ``threshold`` is the racing acceptance bar (the
@@ -214,44 +208,6 @@ class ArrayEvalContext:
         return self.pipeline.evaluate_population(
             self.planes, genotypes, reference, threshold=threshold
         )
-
-
-def evaluate_batch(
-    context: "ArrayEvalContext",
-    genotypes: Sequence[Genotype],
-    reference: np.ndarray,
-) -> List[float]:
-    """Score a whole offspring batch through one windowed NumPy pass.
-
-    This is the platform's vectorised evaluation hot path: the λ offspring of
-    a generation advance through the systolic sweep together (see
-    :meth:`repro.array.systolic_array.SystolicArray.process_planes_batch`)
-    and their aggregated-MAE fitnesses are reduced in a single vector
-    operation.  The returned values are bit-identical to calling
-    ``context.fitness`` candidate by candidate — the drivers rely on this to
-    keep batched runs byte-reproducible against the sequential path.
-
-    Parameters
-    ----------
-    context:
-        Cached evaluation context of the target array.
-    genotypes:
-        The candidate circuits to score.
-    reference:
-        Reference image the fitness unit compares against.
-
-    Returns
-    -------
-    list of float
-        Aggregated MAE per candidate, in input order.
-    """
-    outputs = context.outputs_batch(genotypes)
-    errors = sae_batch(outputs, reference)
-    return [float(error) for error in errors]
-
-
-#: Deprecated pre-1.1 name of :class:`ArrayEvalContext`.
-_ArrayEvalContext = ArrayEvalContext
 
 
 class EvolutionDriver:
@@ -272,22 +228,6 @@ class EvolutionDriver:
         reconfiguration engine.
     accept_equal:
         Whether equal-fitness offspring replace the parent (CGP neutral drift).
-    batched:
-        When ``True`` the λ offspring of each generation are scored through
-        the vectorised :func:`evaluate_batch` pass instead of one Python
-        evaluation per candidate.  Results are byte-identical either way;
-        batching only changes the wall-clock cost of the simulation.
-    population_batching:
-        When ``True`` the whole generation step runs population-batched:
-        offspring are constructed through
-        :func:`~repro.ea.mutation.mutate_population`, placement accounting
-        is one vectorised diff per array, and fitness comes from the
-        evaluation backend's fused
-        :meth:`~repro.backends.base.EvaluationBackend.evaluate_population`
-        entry point (with a genotype-keyed fitness cache on fault-free
-        arrays).  Takes precedence over ``batched``.  Results are
-        byte-identical to the per-candidate path — same RNG streams, same
-        fault draws — as enforced by ``tests/core/test_population_parity.py``.
     fitness_cache:
         Opt-in persistent cross-run fitness cache: ``None`` (off, the
         default), a directory path, or a shared
@@ -343,8 +283,6 @@ class EvolutionDriver:
         rng: Union[int, np.random.Generator, None] = None,
         timing_model: Optional[EvolutionTimingModel] = None,
         accept_equal: bool = True,
-        batched: bool = False,
-        population_batching: bool = False,
         fitness_cache: Union[None, str, os.PathLike, PersistentFitnessCache] = None,
         racing: bool = False,
         scenario=None,
@@ -357,8 +295,6 @@ class EvolutionDriver:
         self.n_offspring = n_offspring
         self.mutation_rate = mutation_rate
         self.accept_equal = accept_equal
-        self.batched = bool(batched)
-        self.population_batching = bool(population_batching)
         # One persistent-tier handle shared by every context this driver
         # creates, so concurrent lookups share a single in-memory view.
         self.fitness_cache = resolve_persistent_cache(fitness_cache)
@@ -437,58 +373,130 @@ class EvolutionDriver:
             return True
         return self.accept_equal and child_fitness == parent_fitness
 
-    def _offspring_mutations(self, parent: Genotype) -> List[MutationResult]:
-        """One generation of offspring, population-batched when enabled.
+    def _generation_offspring(
+        self, parent: Genotype, contexts: Sequence[ArrayEvalContext]
+    ) -> List[Tuple[int, MutationResult]]:
+        """Produce the generation's offspring as (array_slot, mutation) pairs.
 
-        Both paths draw identically from ``self.rng`` and return identical
-        mutation results; the population path only removes per-call Python
-        overhead.
+        The classic EA mutates every offspring directly from the parent with
+        the nominal mutation rate, drawn as one population; offspring are
+        assigned to the ``contexts`` round-robin in batches of
+        ``len(contexts)``.
         """
-        if self.population_batching:
-            return mutate_population(parent, self.mutation_rate, self.rng, self.n_offspring)
-        return [mutate(parent, self.mutation_rate, self.rng) for _ in range(self.n_offspring)]
+        mutations = mutate_population(parent, self.mutation_rate, self.rng, self.n_offspring)
+        return [(position % len(contexts), mutation) for position, mutation in enumerate(mutations)]
 
-    def _place_offspring(
-        self, context: ArrayEvalContext, mutations: Sequence[MutationResult]
-    ) -> List[int]:
-        """Placement accounting for one array's offspring, in order."""
-        if self.population_batching:
-            return context.place_population([m.genotype for m in mutations])
-        return [context.place(m.genotype) for m in mutations]
+    @staticmethod
+    def _per_slot(plan, fn) -> List:
+        """Apply ``fn(slot, genotypes)`` per array slot, in plan order.
 
-    def _evaluate_offspring(
+        Each slot sees its candidates in plan order, and the per-slot
+        results are scattered back into plan-order positions.
+        """
+        values: List = [None] * len(plan)
+        per_slot: Dict[int, List[int]] = {}
+        for index, (slot, _) in enumerate(plan):
+            per_slot.setdefault(slot, []).append(index)
+        for slot, indices in per_slot.items():
+            results = fn(slot, [plan[index][1].genotype for index in indices])
+            for index, value in zip(indices, results):
+                values[index] = value
+        return values
+
+    def _evaluate_plan(
         self,
-        context: ArrayEvalContext,
-        genotypes: Sequence[Genotype],
+        contexts: Sequence[ArrayEvalContext],
+        plan: Sequence[Tuple[int, MutationResult]],
         reference: np.ndarray,
         threshold: Optional[float] = None,
     ) -> List[float]:
-        """Fitness of each offspring on one array: population, batched or sequential.
+        """Fitness of every planned offspring, in plan order.
 
-        ``threshold`` is the racing acceptance bar — the caller's current
-        parent fitness.  On a racing-enabled driver every offspring path
-        may race: the fused population path under the explicit threshold,
-        the batched path under the pipeline's own best-seen threshold, and
-        the sequential loop candidate by candidate (racing composes with
-        ``population_batching`` off).  Only reporting-grade calls
-        (``context.fitness``) always run in full.
+        Each array scores its share of the plan in one fused pass;
+        candidates keep their plan-order position, so selection and each
+        array's fault-RNG stream follow the plan order.  ``threshold`` is
+        the racing acceptance bar (the current parent fitness).
         """
-        if self.population_batching and genotypes:
-            return context.fitness_population(genotypes, reference, threshold=threshold)
-        if self.batched and len(genotypes) > 1:
-            return context.fitness_batch(genotypes, reference)
-        if self.racing:
-            return [
-                context.fitness_population([genotype], reference, threshold=threshold)[0]
-                for genotype in genotypes
-            ]
-        return [context.fitness(genotype, reference) for genotype in genotypes]
+        if all(context.acb.array.n_faults == 0 for context in contexts):
+            # Healthy arrays are functionally identical and fault-free
+            # evaluation consumes no RNG, so the whole generation can be
+            # scored as one population without perturbing any random stream.
+            genotypes = [mutation.genotype for _, mutation in plan]
+            return contexts[0].fitness_population(genotypes, reference, threshold=threshold)
+        return self._per_slot(
+            plan,
+            lambda slot, genotypes: contexts[slot].fitness_population(
+                genotypes, reference, threshold=threshold
+            ),
+        )
+
+    def _generation(
+        self,
+        contexts: Sequence[ArrayEvalContext],
+        parent: Genotype,
+        parent_fitness: float,
+        scheduler: GenerationScheduler,
+        result: PlatformEvolutionResult,
+        score: Callable[[Sequence[Tuple[int, MutationResult]], float], List[float]],
+    ) -> Tuple[Genotype, float]:
+        """One generation step; returns the (possibly replaced) parent.
+
+        Draws the offspring plan, accounts each array's placements, scores
+        the plan through ``score(plan, parent_fitness)`` and applies the
+        (1+λ) acceptance rule to the first strictly-best offspring.
+        """
+        plan = self._generation_offspring(parent, contexts)
+        offspring_counts = self._per_slot(
+            plan, lambda slot, genotypes: contexts[slot].place_population(genotypes)
+        )
+        fitnesses = score(plan, parent_fitness)
+        result.n_evaluations += len(plan)
+        scheduler.record_generation(offspring_counts)
+        best_child, best_child_fitness = self._best_offspring(
+            [mutation for _, mutation in plan], fitnesses
+        )
+        if best_child is not None and self._accept(best_child_fitness, parent_fitness):
+            return best_child, best_child_fitness
+        return parent, parent_fitness
+
+    def _evolve(
+        self,
+        contexts: Sequence[ArrayEvalContext],
+        parent: Genotype,
+        reference: np.ndarray,
+        n_generations: int,
+        target_fitness: Optional[float],
+        scheduler: GenerationScheduler,
+        result: PlatformEvolutionResult,
+        scenario_runner,
+    ) -> Tuple[Genotype, float, List[float]]:
+        """Evolve ``parent`` against ``reference`` on ``contexts``.
+
+        Returns the final parent, its fitness and the per-generation
+        parent-fitness history.
+        """
+        parent_fitness = contexts[0].fitness(parent, reference)
+        result.n_evaluations += 1
+        history: List[float] = []
+
+        def score(plan, threshold):
+            return self._evaluate_plan(contexts, plan, reference, threshold=threshold)
+
+        for _ in range(n_generations):
+            self._advance_scenario(scenario_runner, result)
+            parent, parent_fitness = self._generation(
+                contexts, parent, parent_fitness, scheduler, result, score
+            )
+            history.append(parent_fitness)
+            if target_fitness is not None and parent_fitness <= target_fitness:
+                break
+        return parent, parent_fitness, history
 
     @staticmethod
     def _best_offspring(
         mutations: Sequence[MutationResult], fitnesses: Sequence[float]
     ) -> Tuple[Optional[Genotype], float]:
-        """First strictly-best offspring, matching the sequential selection order."""
+        """First strictly-best offspring, in plan order."""
         best_child: Optional[Genotype] = None
         best_child_fitness = math.inf
         for mutation, fitness in zip(mutations, fitnesses):
@@ -540,28 +548,16 @@ class IndependentEvolution(EvolutionDriver):
             reference = np.asarray(reference)
             scheduler = self._make_scheduler(n_arrays=1, n_pixels=int(np.asarray(training).size))
 
-            parent = self._initial_parent(seed_genotypes.get(array_index))
-            parent_fitness = context.fitness(parent, reference)
-            result.n_evaluations += 1
-            history: List[float] = []
-
-            for _ in range(n_generations):
-                self._advance_scenario(scenario_runner, result)
-                mutations = self._offspring_mutations(parent)
-                offspring_counts = self._place_offspring(context, mutations)
-                fitnesses = self._evaluate_offspring(
-                    context, [m.genotype for m in mutations], reference,
-                    threshold=parent_fitness,
-                )
-                result.n_evaluations += len(mutations)
-                best_child, best_child_fitness = self._best_offspring(mutations, fitnesses)
-                scheduler.record_generation(offspring_counts)
-                if best_child is not None and self._accept(best_child_fitness, parent_fitness):
-                    parent, parent_fitness = best_child, best_child_fitness
-                history.append(parent_fitness)
-                if target_fitness is not None and parent_fitness <= target_fitness:
-                    break
-
+            parent, parent_fitness, history = self._evolve(
+                [context],
+                self._initial_parent(seed_genotypes.get(array_index)),
+                reference,
+                n_generations,
+                target_fitness,
+                scheduler,
+                result,
+                scenario_runner,
+            )
             self.platform.configure_array(array_index, parent)
             self.platform.set_reference(array_index, reference)
             result.best_genotypes[array_index] = parent
@@ -595,105 +591,6 @@ class ParallelEvolution(EvolutionDriver):
                 f"n_arrays must be in [1, {self.platform.n_arrays}], got {self.n_arrays}"
             )
 
-    def _generation_offspring(
-        self, parent: Genotype, contexts: List[ArrayEvalContext]
-    ) -> List[Tuple[int, MutationResult]]:
-        """Produce the generation's offspring as (array_slot, mutation) pairs.
-
-        The classic EA mutates every offspring directly from the parent with
-        the nominal mutation rate; offspring are assigned to arrays
-        round-robin in batches of ``n_arrays``.
-        """
-        mutations = self._offspring_mutations(parent)
-        return [(position % self.n_arrays, mutation) for position, mutation in enumerate(mutations)]
-
-    def _place_plan(
-        self,
-        contexts: List[ArrayEvalContext],
-        plan: Sequence[Tuple[int, MutationResult]],
-    ) -> List[int]:
-        """Placement accounting for a whole offspring plan, in plan order.
-
-        With population batching, each array diffs its share of the plan in
-        one vectorised pass; candidates keep their plan-order position and
-        each array sees its candidates in the same order as sequential
-        placement, so the counts are identical.
-        """
-        if not self.population_batching:
-            return [contexts[slot].place(mutation.genotype) for slot, mutation in plan]
-        return self._per_slot(
-            plan, lambda slot, genotypes: contexts[slot].place_population(genotypes)
-        )
-
-    @staticmethod
-    def _per_slot(plan, fn) -> List:
-        """Apply ``fn(slot, genotypes)`` per array slot, in plan order.
-
-        Each slot sees its candidates in plan order (matching sequential
-        per-candidate processing on that array), and the per-slot results
-        are scattered back into plan-order positions.
-        """
-        values: List = [None] * len(plan)
-        per_slot: Dict[int, List[int]] = {}
-        for index, (slot, _) in enumerate(plan):
-            per_slot.setdefault(slot, []).append(index)
-        for slot, indices in per_slot.items():
-            results = fn(slot, [plan[index][1].genotype for index in indices])
-            for index, value in zip(indices, results):
-                values[index] = value
-        return values
-
-    def _evaluate_plan(
-        self,
-        contexts: List[ArrayEvalContext],
-        plan: Sequence[Tuple[int, MutationResult]],
-        reference: np.ndarray,
-        threshold: Optional[float] = None,
-    ) -> List[float]:
-        """Fitness of every planned offspring, in plan order.
-
-        With batching (or population batching) enabled, each array scores
-        its share of the plan in one vectorised pass; candidates keep their
-        plan-order position so selection (and each array's fault-RNG
-        stream) matches the sequential path exactly.  ``threshold`` is the
-        racing acceptance bar forwarded to the population path.
-        """
-        population = self.population_batching and bool(plan)
-        if population or (self.batched and len(plan) > 1):
-            if all(context.acb.array.n_faults == 0 for context in contexts):
-                # Healthy arrays are functionally identical and fault-free
-                # evaluation consumes no RNG, so the whole generation can be
-                # scored as one batch without perturbing any random stream.
-                genotypes = [mutation.genotype for _, mutation in plan]
-                if population:
-                    return contexts[0].fitness_population(
-                        genotypes, reference, threshold=threshold
-                    )
-                return contexts[0].fitness_batch(genotypes, reference)
-
-            def score(slot: int, genotypes: List[Genotype]) -> List[float]:
-                if population:
-                    return contexts[slot].fitness_population(
-                        genotypes, reference, threshold=threshold
-                    )
-                return contexts[slot].fitness_batch(genotypes, reference)
-
-            return self._per_slot(plan, score)
-        if self.racing:
-            # Sequential path with racing: each offspring still runs through
-            # the pipeline's population entry so the early-rejection bound
-            # applies candidate by candidate.
-            return [
-                contexts[slot].fitness_population(
-                    [mutation.genotype], reference, threshold=threshold
-                )[0]
-                for slot, mutation in plan
-            ]
-        return [
-            contexts[slot].fitness(mutation.genotype, reference)
-            for slot, mutation in plan
-        ]
-
     def run(
         self,
         training_image: np.ndarray,
@@ -714,28 +611,16 @@ class ParallelEvolution(EvolutionDriver):
         result = PlatformEvolutionResult()
         scenario_runner = self._begin_scenario(n_generations)
 
-        parent = self._initial_parent(seed_genotype)
-        parent_fitness = contexts[0].fitness(parent, reference_image)
-        result.n_evaluations += 1
-        history: List[float] = []
-
-        for _ in range(n_generations):
-            self._advance_scenario(scenario_runner, result)
-            plan = self._generation_offspring(parent, contexts)
-            offspring_counts = self._place_plan(contexts, plan)
-            fitnesses = self._evaluate_plan(
-                contexts, plan, reference_image, threshold=parent_fitness
-            )
-            result.n_evaluations += len(plan)
-            best_child, best_child_fitness = self._best_offspring(
-                [mutation for _, mutation in plan], fitnesses
-            )
-            scheduler.record_generation(offspring_counts)
-            if best_child is not None and self._accept(best_child_fitness, parent_fitness):
-                parent, parent_fitness = best_child, best_child_fitness
-            history.append(parent_fitness)
-            if target_fitness is not None and parent_fitness <= target_fitness:
-                break
+        parent, parent_fitness, history = self._evolve(
+            contexts,
+            self._initial_parent(seed_genotype),
+            reference_image,
+            n_generations,
+            target_fitness,
+            scheduler,
+            result,
+            scenario_runner,
+        )
 
         # Commit the winning circuit to every participating array so the
         # platform can enter parallel (TMR) or independent operation with it.
@@ -907,57 +792,37 @@ class CascadedEvolution(EvolutionDriver):
                     if repeat_fitness < parent_fitness[stage]:
                         parents[stage] = repeat
                         parent_fitness[stage] = repeat_fitness
-            mutations = self._offspring_mutations(parents[stage])
-            offspring_counts = self._place_offspring(contexts[stage], mutations)
-            if (
-                self.population_batching
-                and self.fitness_mode == CascadeFitnessMode.SEPARATE
-                and mutations
-            ):
+            context = contexts[stage]
+            if self.fitness_mode == CascadeFitnessMode.SEPARATE:
                 # Separate fitness units judge each candidate on its own
-                # stage output, so the whole offspring population goes
-                # through the fused population entry point via the stage's
-                # cached context.  Retargeting only when the stage input
-                # actually changed *in value* keeps the context's planes
-                # object stable while upstream parents are frozen (always
-                # for stage 0; per sequential-stage run for later stages),
-                # so the backend's per-plane-set stores — and the
-                # memoisation they carry — survive across generations.
-                context = contexts[stage]
+                # stage output, so the stage's share goes through the
+                # context's fused population entry point.  Retargeting only
+                # when the stage input actually changed *in value* keeps the
+                # context's planes object stable while upstream parents are
+                # frozen (always for stage 0; per sequential-stage run for
+                # later stages), so the backend's per-plane-set stores — and
+                # the memoisation they carry — survive across generations.
                 if context.training_image is not stage_input and not np.array_equal(
                     context.training_image, stage_input
                 ):
                     context.retarget(stage_input)
-                fitnesses = context.fitness_population(
-                    [m.genotype for m in mutations], reference_image,
-                    threshold=parent_fitness[stage],
-                )
-            elif (
-                self.batched
-                and self.fitness_mode == CascadeFitnessMode.SEPARATE
-                and len(mutations) > 1
-            ):
-                # Separate fitness units judge each candidate on its own
-                # stage output, so the whole offspring batch can share one
-                # windowed pass over the stage input.
-                planes = extract_windows(stage_input)
-                outputs = contexts[stage].acb.array.process_planes_batch(
-                    planes, [m.genotype for m in mutations]
-                )
-                fitnesses = [sae(output, reference_image) for output in outputs]
+
+                def score(plan, threshold):
+                    return self._evaluate_plan([context], plan, reference_image, threshold)
             else:
-                fitnesses = [
-                    self._stage_fitness(
-                        contexts, parents, stage, m.genotype, stage_input, reference_image
-                    )
-                    for m in mutations
-                ]
-            result.n_evaluations += len(mutations)
-            best_child, best_child_fitness = self._best_offspring(mutations, fitnesses)
-            scheduler.record_generation(offspring_counts)
-            if best_child is not None and self._accept(best_child_fitness, parent_fitness[stage]):
-                parents[stage] = best_child
-                parent_fitness[stage] = best_child_fitness
+                # A merged fitness unit judges each candidate by the end of
+                # the chain, which runs through the downstream stages.
+                def score(plan, threshold):
+                    return [
+                        self._stage_fitness(
+                            contexts, parents, stage, m.genotype, stage_input, reference_image
+                        )
+                        for _, m in plan
+                    ]
+
+            parents[stage], parent_fitness[stage] = self._generation(
+                [context], parents[stage], parent_fitness[stage], scheduler, result, score
+            )
             histories[stage].append(parent_fitness[stage])
 
         if self.schedule == CascadeSchedule.SEQUENTIAL:
@@ -1050,26 +915,16 @@ class ImitationEvolution(EvolutionDriver):
             parent = master_acb.genotype.copy()
         else:
             parent = Genotype.random(self.platform.spec, self.rng)
-        parent_fitness = context.fitness(parent, master_output)
-        result.n_evaluations += 1
-        history: List[float] = []
-
-        for _ in range(n_generations):
-            self._advance_scenario(scenario_runner, result)
-            mutations = self._offspring_mutations(parent)
-            offspring_counts = self._place_offspring(context, mutations)
-            fitnesses = self._evaluate_offspring(
-                context, [m.genotype for m in mutations], master_output,
-                threshold=parent_fitness,
-            )
-            result.n_evaluations += len(mutations)
-            best_child, best_child_fitness = self._best_offspring(mutations, fitnesses)
-            scheduler.record_generation(offspring_counts)
-            if best_child is not None and self._accept(best_child_fitness, parent_fitness):
-                parent, parent_fitness = best_child, best_child_fitness
-            history.append(parent_fitness)
-            if target_fitness is not None and parent_fitness <= target_fitness:
-                break
+        parent, parent_fitness, history = self._evolve(
+            [context],
+            parent,
+            master_output,
+            n_generations,
+            target_fitness,
+            scheduler,
+            result,
+            scenario_runner,
+        )
 
         self.platform.configure_array(apprentice_index, parent)
         self.platform.set_bypass(apprentice_index, False)

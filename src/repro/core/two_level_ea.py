@@ -25,13 +25,13 @@ better fitness (Fig. 15).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.array.genotype import Genotype
 from repro.core.evolution import ParallelEvolution, ArrayEvalContext
-from repro.ea.mutation import MutationResult, mutate, population_mutator
+from repro.ea.mutation import MutationResult, population_mutator
 
 __all__ = ["TwoLevelMutationEvolution"]
 
@@ -63,7 +63,7 @@ class TwoLevelMutationEvolution(ParallelEvolution):
         self.low_mutation_rate = low_mutation_rate
 
     def _generation_offspring(
-        self, parent: Genotype, contexts: List[ArrayEvalContext]
+        self, parent: Genotype, contexts: Sequence[ArrayEvalContext]
     ) -> List[Tuple[int, MutationResult]]:
         """Two-level offspring plan.
 
@@ -73,56 +73,26 @@ class TwoLevelMutationEvolution(ParallelEvolution):
         of the offspring evaluated on array *j* in the *previous* batch, so
         consecutive circuits on the same array differ by very few genes and
         the reconfiguration engine has almost nothing to rewrite.
+
+        The chained mutations make each offspring depend on the *flat gene
+        vector* of its predecessor on the same array, so the whole
+        generation is built over flat vectors through the shared
+        :class:`~repro.ea.mutation.PopulationMutator`, drawing from the
+        driver's RNG in plan order.
         """
-        if self.population_batching:
-            return self._generation_offspring_population(parent)
-        plan: List[Tuple[int, MutationResult]] = []
-        previous_batch: List[Genotype] = []
-
-        n_batches = -(-self.n_offspring // self.n_arrays)
-        produced = 0
-        for batch in range(n_batches):
-            current_batch: List[Genotype] = []
-            for slot in range(self.n_arrays):
-                if produced >= self.n_offspring:
-                    break
-                if batch == 0:
-                    mutation = mutate(parent, self.mutation_rate, self.rng)
-                else:
-                    source = previous_batch[slot] if slot < len(previous_batch) else parent
-                    mutation = mutate(source, self.low_mutation_rate, self.rng)
-                plan.append((slot, mutation))
-                current_batch.append(mutation.genotype)
-                produced += 1
-            previous_batch = current_batch
-        return plan
-
-    def _generation_offspring_population(
-        self, parent: Genotype
-    ) -> List[Tuple[int, MutationResult]]:
-        """Population-batched two-level plan, byte-identical to the loop above.
-
-        The chained low-rate mutations make each offspring depend on the
-        *flat gene vector* of the offspring evaluated on the same array in
-        the previous batch, so the whole generation is built over flat
-        vectors through the shared
-        :class:`~repro.ea.mutation.PopulationMutator` — same RNG calls in
-        the same plan order, none of the per-call genotype plumbing.
-        """
+        n_slots = len(contexts)
         mutator = population_mutator(parent.spec)
-        parent_flat: Optional[np.ndarray] = None
+        parent_flat = mutator.to_flat(parent)
         plan: List[Tuple[int, MutationResult]] = []
         previous_flats: List[np.ndarray] = []
 
-        n_batches = -(-self.n_offspring // self.n_arrays)
+        n_batches = -(-self.n_offspring // n_slots)
         produced = 0
         for batch in range(n_batches):
             current_flats: List[np.ndarray] = []
-            for slot in range(self.n_arrays):
+            for slot in range(n_slots):
                 if produced >= self.n_offspring:
                     break
-                if parent_flat is None:
-                    parent_flat = mutator.to_flat(parent)
                 if batch == 0:
                     source_flat, rate = parent_flat, self.mutation_rate
                 else:

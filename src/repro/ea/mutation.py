@@ -114,7 +114,7 @@ def mutate(
 class PopulationMutator:
     """Batched mutation over flat gene vectors, bit-exact against :func:`mutate`.
 
-    The population-batched evolution engine creates a whole generation of
+    The evolution drivers' generation step creates a whole generation of
     offspring before evaluating any of them, which makes the per-call
     overhead of :func:`mutate` (genotype copy, flat round-trip, per-gene
     alphabet lookups, full validation of values that are valid by
@@ -247,7 +247,7 @@ def mutate_population(
     consumption) as ``[mutate(parent, n_mutations, rng) for _ in
     range(n_offspring)]``, with the per-call genotype plumbing hoisted out
     of the loop.  This is the offspring-construction half of the
-    population-batched generation step.
+    drivers' generation step.
     """
     if n_offspring < 1:
         raise ValueError(f"n_offspring must be >= 1, got {n_offspring}")

@@ -4,7 +4,11 @@ Every fitness request of the reproduction — the (1+λ) ES
 (:mod:`repro.ea.strategy` via :mod:`repro.ea.fitness`), the platform
 drivers (:mod:`repro.core.evolution`, :mod:`repro.core.two_level_ea`)
 and, through them, all three evaluation backends — flows through a
-:class:`FitnessPipeline`.  The pipeline runs up to four stages, each of
+:class:`FitnessPipeline`.  The drivers' one generation step hands each
+array its whole share of the offspring population in a single
+:meth:`FitnessPipeline.evaluate_population` call; a single-candidate
+:meth:`FitnessPipeline.evaluate` serves the reporting-grade parent
+evaluations.  The pipeline runs up to four stages, each of
 which either *serves* a candidate exactly or *passes it down*:
 
 1. **Fault gate.**  Evaluations on a fault-tainted array embed per-call
@@ -42,10 +46,10 @@ which either *serves* a candidate exactly or *passes it down*:
    exact, not statistical — and it never engages on a faulty array,
    where partial passes would desynchronise the fault-RNG streams.
 
-With both knobs off the pipeline reduces to stages 1–2, which replace
-the pre-1.9 ``ArrayEvalContext`` genotype cache one-for-one — fitness
-trajectories stay byte-identical to v1.8.0 (the determinism-parity gate
-enforces this).
+With both knobs off the pipeline reduces to stages 1–2.  Fitness
+trajectories are pinned by the golden digests in
+``tests/core/test_golden_trajectories.py``, and the racing-parity gate
+holds runs with either knob on to the knobs-off trajectories.
 """
 
 from __future__ import annotations

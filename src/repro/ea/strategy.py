@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.array.genotype import Genotype, GenotypeSpec
 from repro.ea.chromosome import Individual
-from repro.ea.mutation import mutate, mutate_population
+from repro.ea.mutation import mutate_population
 
 __all__ = ["GenerationRecord", "EvolutionResult", "OnePlusLambdaES"]
 
@@ -99,8 +99,8 @@ class OnePlusLambdaES:
         ``FitnessEvaluator.evaluate_population``).  When provided, each
         generation's λ offspring are scored through one call instead of λ
         ``evaluate`` calls.  It must return exactly the values ``evaluate``
-        would — the strategy relies on this to keep population-batched runs
-        byte-identical to per-candidate runs.  The shipped evaluators route
+        would, so a run's trajectory does not depend on which of the two
+        scores it.  The shipped evaluators route
         this hook through the staged :class:`~repro.ea.pipeline.FitnessPipeline`;
         with its racing knob enabled the hook may instead report an *exact
         lower bound* for candidates that provably cannot be accepted —
@@ -108,14 +108,6 @@ class OnePlusLambdaES:
         bound exceeds the parent's fitness by construction), but
         :attr:`GenerationRecord.best_fitness` then reflects the bound on
         generations where every offspring is rejected early.
-    population_batching:
-        When ``True`` the generation step is population-batched: offspring
-        come from :func:`~repro.ea.mutation.mutate_population` (same RNG
-        stream, less per-call overhead) and are scored through
-        ``evaluate_population`` when available.  Note that all mutation
-        draws of a generation then happen *before* its evaluations; this is
-        only observable if ``evaluate`` itself consumes the same generator,
-        which no shipped evaluator does.
     generation_hook:
         Optional hook ``generation_hook(generation)`` fired at the *start*
         of each generation, before its offspring are drawn or evaluated —
@@ -132,14 +124,14 @@ class OnePlusLambdaES:
         mutation_rate, rng)`` returning a
         :class:`~repro.ea.mutation.MutationResult`-compatible object
         (``.genotype`` and ``.n_reconfigurations``).  Defaults to the
-        array-genotype :func:`~repro.ea.mutation.mutate`, which keeps
-        every existing caller bit-identical.  Supplying an operator turns
-        the strategy into a generic (1+λ) search over arbitrary genotype
-        types (e.g. the adversarial :class:`~repro.scenarios.FaultScenario`
-        search in :mod:`repro.scenarios.search`); such callers must pass a
-        ``seed_genotype`` (there is no generic random initialiser) and the
-        ``population_batching`` fast path falls back to applying the
-        operator per offspring in the sequential draw order.
+        array-genotype mutation, drawn for the whole generation at once by
+        :func:`~repro.ea.mutation.mutate_population`.  Supplying an
+        operator turns the strategy into a generic (1+λ) search over
+        arbitrary genotype types (e.g. the adversarial
+        :class:`~repro.scenarios.FaultScenario` search in
+        :mod:`repro.scenarios.search`); such callers must pass a
+        ``seed_genotype`` (there is no generic random initialiser), and
+        the operator is applied once per offspring.
     """
 
     def __init__(
@@ -153,7 +145,6 @@ class OnePlusLambdaES:
         evaluate_population: Optional[
             Callable[[Sequence[Genotype]], Sequence[float]]
         ] = None,
-        population_batching: bool = False,
         generation_hook: Optional[Callable[[int], None]] = None,
         mutation_operator: Optional[Callable] = None,
     ) -> None:
@@ -167,16 +158,21 @@ class OnePlusLambdaES:
         self.mutation_rate = mutation_rate
         self.accept_equal = accept_equal
         self.evaluate_population = evaluate_population
-        self.population_batching = bool(population_batching)
         self.generation_hook = generation_hook
         self.mutation_operator = mutation_operator
         self.rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
     # ------------------------------------------------------------------ #
-    def _mutate_one(self, parent_genotype):
-        """One offspring draw through the configured variation operator."""
-        operator = self.mutation_operator if self.mutation_operator is not None else mutate
-        return operator(parent_genotype, self.mutation_rate, self.rng)
+    def _offspring(self, parent_genotype) -> list:
+        """The generation's λ offspring, drawn in order from ``self.rng``."""
+        if self.mutation_operator is None:
+            return mutate_population(
+                parent_genotype, self.mutation_rate, self.rng, self.n_offspring
+            )
+        return [
+            self.mutation_operator(parent_genotype, self.mutation_rate, self.rng)
+            for _ in range(self.n_offspring)
+        ]
 
     def _initial_parent(self, seed_genotype: Optional[Genotype]) -> Individual:
         if seed_genotype is None and self.mutation_operator is not None:
@@ -224,41 +220,19 @@ class OnePlusLambdaES:
         result = EvolutionResult(best=parent.copy())
         result.n_evaluations = 1
 
-        population = self.population_batching or self.evaluate_population is not None
         for generation in range(1, n_generations + 1):
             if self.generation_hook is not None:
                 self.generation_hook(generation)
             best_offspring: Optional[Individual] = None
             generation_reconfigurations = 0
-            if population:
-                # Population-batched generation step: collect the whole
-                # offspring population, score it in one call.  Selection
-                # below keeps the sequential rule either way.
-                if self.population_batching and self.mutation_operator is None:
-                    mutations = mutate_population(
-                        parent.genotype, self.mutation_rate, self.rng, self.n_offspring
-                    )
-                else:
-                    mutations = [
-                        self._mutate_one(parent.genotype)
-                        for _ in range(self.n_offspring)
-                    ]
-                genotypes = [mutation.genotype for mutation in mutations]
-                if self.evaluate_population is not None:
-                    fitnesses = list(self.evaluate_population(genotypes))
-                else:
-                    fitnesses = [self.evaluate(genotype) for genotype in genotypes]
-                scored = zip(mutations, fitnesses)
+            # Draw the whole generation, then score it.
+            mutations = self._offspring(parent.genotype)
+            genotypes = [mutation.genotype for mutation in mutations]
+            if self.evaluate_population is not None:
+                fitnesses = list(self.evaluate_population(genotypes))
             else:
-                # Sequential step: mutation draws and evaluations interleave
-                # (the pre-population behaviour, kept bit-compatible).
-                def scored_sequential():
-                    for _ in range(self.n_offspring):
-                        mutation = self._mutate_one(parent.genotype)
-                        yield mutation, self.evaluate(mutation.genotype)
-
-                scored = scored_sequential()
-            for mutation, fitness in scored:
+                fitnesses = [self.evaluate(genotype) for genotype in genotypes]
+            for mutation, fitness in zip(mutations, fitnesses):
                 child = Individual(
                     genotype=mutation.genotype,
                     generation=generation,

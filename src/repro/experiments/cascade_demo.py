@@ -72,7 +72,6 @@ def three_stage_cascade_demo(
     mutation_rate: int = 3,
     seed: int = 2013,
     backend: str = "reference",
-    population_batching: bool = True,
     fitness_cache: Optional[str] = None,
     racing: bool = False,
     scenario=None,
@@ -89,7 +88,6 @@ def three_stage_cascade_demo(
             n_offspring=n_offspring,
             mutation_rate=mutation_rate,
             seed=seed,
-            population_batching=population_batching,
             fitness_cache=fitness_cache,
             racing=racing,
             scenario=scenario,
@@ -137,7 +135,6 @@ def _run(args) -> RunArtifact:
         n_generations=args.generations,
         seed=args.seed,
         backend=args.backend,
-        population_batching=args.population_batching,
         fitness_cache=args.fitness_cache,
         racing=args.racing,
         scenario=scenario_from_args(args),

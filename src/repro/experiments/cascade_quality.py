@@ -76,8 +76,7 @@ def _stage_fitnesses(platform: EvolvableHardwarePlatform, training, reference,
 
 
 def _evolve_base_filter(pair, run_seed, n_stages, n_generations, n_offspring,
-                        mutation_rate, backend="reference",
-                        population_batching=True, fitness_cache=None,
+                        mutation_rate, backend="reference", fitness_cache=None,
                         racing=False, scenario=None):
     """Evolve the stage-1 circuit shared by every arrangement of one run.
 
@@ -96,7 +95,6 @@ def _evolve_base_filter(pair, run_seed, n_stages, n_generations, n_offspring,
             n_offspring=n_offspring,
             mutation_rate=mutation_rate,
             seed=run_seed,
-            population_batching=population_batching,
             fitness_cache=fitness_cache,
             racing=racing,
             scenario=scenario,
@@ -126,7 +124,6 @@ def run_cascade_arrangement(run) -> RunArtifact:
     n_offspring = int(params["n_offspring"])
     mutation_rate = int(params["mutation_rate"])
     backend = str(params.get("backend", "reference"))
-    population_batching = bool(params.get("population_batching", True))
     fitness_cache = params.get("fitness_cache")
     racing = bool(params.get("racing", False))
     scenario = params.get("scenario")
@@ -138,7 +135,7 @@ def run_cascade_arrangement(run) -> RunArtifact:
     )
     base_session, base_filter = _evolve_base_filter(
         pair, run_seed, n_stages, n_generations, n_offspring, mutation_rate, backend,
-        population_batching, fitness_cache, racing, scenario,
+        fitness_cache, racing, scenario,
     )
 
     if arrangement == "same_filter":
@@ -157,7 +154,6 @@ def run_cascade_arrangement(run) -> RunArtifact:
                 n_offspring=n_offspring,
                 mutation_rate=mutation_rate,
                 seed=run_seed,
-                population_batching=population_batching,
                 fitness_cache=fitness_cache,
                 racing=racing,
                 scenario=scenario,
@@ -189,7 +185,6 @@ def build_cascade_quality_campaign(
     mutation_rate: int = 3,
     seed: int = 2013,
     backend: str = "reference",
-    population_batching: bool = True,
     fitness_cache: Optional[str] = None,
     racing: bool = False,
     scenario=None,
@@ -210,7 +205,6 @@ def build_cascade_quality_campaign(
             "n_offspring": int(n_offspring),
             "mutation_rate": int(mutation_rate),
             "backend": str(backend),
-            "population_batching": bool(population_batching),
             "fitness_cache": None if fitness_cache is None else str(fitness_cache),
             "racing": bool(racing),
             # A scenario name or inline dict rides the JSON-shipped params
@@ -233,7 +227,6 @@ def cascade_quality_comparison(
     executor: str = "serial",
     max_workers: Optional[int] = None,
     backend: str = "reference",
-    population_batching: bool = True,
     fitness_cache: Optional[str] = None,
     racing: bool = False,
     scenario=None,
@@ -254,7 +247,6 @@ def cascade_quality_comparison(
         mutation_rate=mutation_rate,
         seed=seed,
         backend=backend,
-        population_batching=population_batching,
         fitness_cache=fitness_cache,
         racing=racing,
         scenario=scenario,
@@ -305,7 +297,6 @@ def _run(args) -> RunArtifact:
         executor=args.executor,
         max_workers=args.workers,
         backend=args.backend,
-        population_batching=args.population_batching,
         fitness_cache=args.fitness_cache,
         racing=args.racing,
         scenario=scenario_from_args(args),

@@ -171,7 +171,6 @@ def systematic_fault_analysis(
     executor: str = "serial",
     max_workers: Optional[int] = None,
     backend: str = "reference",
-    population_batching: bool = True,
     fitness_cache: Optional[str] = None,
     racing: bool = False,
     scenario=None,
@@ -195,7 +194,6 @@ def systematic_fault_analysis(
             n_offspring=n_offspring,
             mutation_rate=mutation_rate,
             seed=seed,
-            population_batching=population_batching,
             fitness_cache=fitness_cache,
             racing=racing,
             scenario=scenario,
@@ -234,7 +232,6 @@ def _run(args) -> RunArtifact:
         executor=args.executor,
         max_workers=args.workers,
         backend=args.backend,
-        population_batching=args.population_batching,
         fitness_cache=args.fitness_cache,
         racing=args.racing,
         scenario=scenario_from_args(args),

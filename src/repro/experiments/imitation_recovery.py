@@ -62,7 +62,6 @@ def imitation_seed_comparison(
     mutation_rate: int = 3,
     seed: int = 2013,
     backend: str = "reference",
-    population_batching: bool = True,
     fitness_cache: Optional[str] = None,
     racing: bool = False,
     scenario=None,
@@ -83,7 +82,6 @@ def imitation_seed_comparison(
                     n_offspring=n_offspring,
                     mutation_rate=mutation_rate,
                     seed=run_seed,
-                    population_batching=population_batching,
                     fitness_cache=fitness_cache,
                     racing=racing,
                     scenario=scenario,
@@ -117,7 +115,6 @@ def imitation_seed_comparison(
                     n_offspring=n_offspring,
                     mutation_rate=mutation_rate,
                     seed=run_seed + 1,
-                    population_batching=population_batching,
                     fitness_cache=fitness_cache,
                     racing=racing,
                 ),
@@ -156,7 +153,6 @@ def _run(args) -> RunArtifact:
         n_runs=args.runs,
         seed=args.seed,
         backend=args.backend,
-        population_batching=args.population_batching,
         fitness_cache=args.fitness_cache,
         racing=args.racing,
         scenario=scenario_from_args(args),

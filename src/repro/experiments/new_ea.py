@@ -61,7 +61,6 @@ def new_ea_comparison(
     noise_level: float = 0.1,
     seed: int = 2013,
     backend: str = "reference",
-    population_batching: bool = True,
     fitness_cache: Optional[str] = None,
     racing: bool = False,
     scenario=None,
@@ -89,7 +88,6 @@ def new_ea_comparison(
                         n_offspring=n_offspring,
                         mutation_rate=k,
                         seed=run_seed,
-                        population_batching=population_batching,
                         fitness_cache=fitness_cache,
                         racing=racing,
                         scenario=scenario,
@@ -128,7 +126,6 @@ def _run(args) -> RunArtifact:
         n_runs=args.runs,
         seed=args.seed,
         backend=args.backend,
-        population_batching=args.population_batching,
         fitness_cache=args.fitness_cache,
         racing=args.racing,
         scenario=scenario_from_args(args),

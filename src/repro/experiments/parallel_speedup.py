@@ -140,7 +140,6 @@ def build_measured_speedup_campaign(
     noise_level: float = 0.1,
     seed: int = 2013,
     backend: str = "reference",
-    population_batching: bool = True,
     fitness_cache: Optional[str] = None,
     racing: bool = False,
     scenario=None,
@@ -161,7 +160,6 @@ def build_measured_speedup_campaign(
             n_generations=n_generations,
             n_offspring=n_offspring,
             seed=seed,
-            population_batching=population_batching,
             fitness_cache=fitness_cache,
             racing=racing,
             scenario=scenario,
@@ -192,7 +190,6 @@ def measured_speedup_sweep(
     executor: str = "serial",
     max_workers: Optional[int] = None,
     backend: str = "reference",
-    population_batching: bool = True,
     fitness_cache: Optional[str] = None,
     racing: bool = False,
     scenario=None,
@@ -217,7 +214,6 @@ def measured_speedup_sweep(
         noise_level=noise_level,
         seed=seed,
         backend=backend,
-        population_batching=population_batching,
         fitness_cache=fitness_cache,
         racing=racing,
         scenario=scenario,
@@ -267,7 +263,6 @@ def _run(args) -> RunArtifact:
             executor=args.executor,
             max_workers=args.workers,
             backend=args.backend,
-            population_batching=args.population_batching,
             fitness_cache=args.fitness_cache,
             racing=args.racing,
             scenario=scenario_from_args(args),

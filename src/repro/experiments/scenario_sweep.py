@@ -176,7 +176,6 @@ def build_scenario_sweep_campaign(
     noise_level: float = 0.1,
     seed: int = 2013,
     backend: str = "reference",
-    population_batching: bool = True,
     fitness_cache: Optional[str] = None,
     racing: bool = False,
 ) -> CampaignSpec:
@@ -202,7 +201,6 @@ def build_scenario_sweep_campaign(
             n_offspring=n_offspring,
             mutation_rate=mutation_rate,
             seed=None if replicated else seed,
-            population_batching=population_batching,
             fitness_cache=fitness_cache,
             racing=racing,
         ),
@@ -238,7 +236,6 @@ def scenario_lifecycle_sweep(
     max_workers: Optional[int] = None,
     store=None,
     backend: str = "reference",
-    population_batching: bool = True,
     fitness_cache: Optional[str] = None,
     racing: bool = False,
 ) -> List[Dict[str, Any]]:
@@ -252,7 +249,6 @@ def scenario_lifecycle_sweep(
         n_runs=n_runs,
         seed=seed,
         backend=backend,
-        population_batching=population_batching,
         fitness_cache=fitness_cache,
         racing=racing,
     )
@@ -304,7 +300,6 @@ def _run(args) -> RunArtifact:
         max_workers=args.workers,
         store=args.store,
         backend=args.backend,
-        population_batching=args.population_batching,
         fitness_cache=args.fitness_cache,
         racing=args.racing,
     )

@@ -85,7 +85,6 @@ def tmr_fault_recovery_trace(
     voter_threshold: float = 0.0,
     seed: int = 2013,
     backend: str = "reference",
-    population_batching: bool = True,
     fitness_cache: Optional[str] = None,
     racing: bool = False,
     scenario=None,
@@ -110,7 +109,6 @@ def tmr_fault_recovery_trace(
             n_offspring=n_offspring,
             mutation_rate=mutation_rate,
             seed=seed,
-            population_batching=population_batching,
             fitness_cache=fitness_cache,
             racing=racing,
             scenario=scenario,
@@ -225,7 +223,6 @@ def _run(args) -> RunArtifact:
         recovery_generations=args.generations,
         seed=args.seed,
         backend=args.backend,
-        population_batching=args.population_batching,
         fitness_cache=args.fitness_cache,
         racing=args.racing,
         scenario=scenario_from_args(args),

@@ -37,8 +37,8 @@ def sae(output: np.ndarray, reference: np.ndarray) -> float:
 def sae_batch(outputs: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Aggregated absolute error of a ``(B, H, W)`` batch vs one reference.
 
-    The vectorised form of :func:`sae` used by the batched and population
-    evaluation paths: every entry equals ``sae(outputs[b], reference)``
+    The vectorised form of :func:`sae` used by the population evaluation
+    path: every entry equals ``sae(outputs[b], reference)``
     bit for bit.  For uint8 inputs (the hardware pixel format) the
     differences fit int16 exactly and accumulate in int64; other dtypes
     take :func:`sae`'s own int64 arithmetic, so wide or float values are

@@ -93,7 +93,6 @@ def build_spec_from_args(args: argparse.Namespace) -> CampaignSpec:
         evolution=EvolutionConfig(
             n_generations=args.generations,
             seed=args.seed,
-            population_batching=args.population_batching,
             fitness_cache=args.fitness_cache,
             racing=args.racing,
         ),
@@ -157,14 +156,6 @@ def _configure(parser: argparse.ArgumentParser) -> None:
         choices=sorted(BACKENDS.names()),
         help="array evaluation backend of the base platform config "
              "(bit-exact; sweepable as a 'platform.backend' axis too)",
-    )
-    parser.add_argument(
-        "--population-batching",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="population-batched generation step of the base evolution "
-             "config (bit-exact; sweepable as an "
-             "'evolution.population_batching' axis too)",
     )
     parser.add_argument(
         "--fitness-cache",

@@ -52,6 +52,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
 from repro.api.artifact import RunArtifact
+from repro.backends.fitness_cache import append_healed
 from repro.runtime.campaign import CampaignSpec, RunSpec
 
 __all__ = ["CampaignStore", "DedupeCache"]
@@ -291,33 +292,12 @@ class CampaignStore:
             entry["source_run_id"] = source_run_id
         if error is not None:
             entry["error"] = error
-        self._append_index_line(json.dumps(entry, sort_keys=True))
-
-    def _append_index_line(self, line: str) -> None:
-        """Append one index line under the store's advisory lock.
-
-        The lock serialises concurrent appenders (multiple workers
-        sharing one store); the newline healing below remains as crash
-        recovery — a writer killed mid-append leaves the index without a
-        trailing newline, and the *next* append must not concatenate onto
-        the orphan fragment (the fragment itself is then dropped by
-        :meth:`index`'s parser).
-        """
+        # The lock serialises concurrent appenders (workers sharing one
+        # store); the healed append keeps a crashed writer's fragment from
+        # swallowing this line (the fragment is dropped by index()).
         self.root.mkdir(parents=True, exist_ok=True)
         with _file_lock(self.lock_path):
-            needs_newline = False
-            if self.index_path.exists():
-                with self.index_path.open("rb") as handle:
-                    handle.seek(0, os.SEEK_END)
-                    if handle.tell() > 0:
-                        handle.seek(-1, os.SEEK_END)
-                        needs_newline = handle.read(1) != b"\n"
-            with self.index_path.open("a", encoding="utf-8") as handle:
-                if needs_newline:
-                    handle.write("\n")
-                handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+            append_healed(self.index_path, json.dumps(entry, sort_keys=True) + "\n")
 
     def load_artifact(self, run_id: str) -> RunArtifact:
         """Load one completed run's artifact back from disk."""
@@ -477,10 +457,7 @@ class DedupeCache:
                     "artifact": f"{self.ARTIFACTS_DIR}/{signature}.json",
                     **meta,
                 }
-                with self.index_path.open("a", encoding="utf-8") as handle:
-                    handle.write(json.dumps(entry, sort_keys=True) + "\n")
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                append_healed(self.index_path, json.dumps(entry, sort_keys=True) + "\n")
                 self._entries[signature] = entry
                 self._loaded_size = self.index_path.stat().st_size
         return True

@@ -47,7 +47,18 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    ClassVar,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -615,7 +626,8 @@ class RedTeamConfig(_ConfigBase):
     healing_generations: int = 5
     mission_offspring: int = 9
     mission_mutation_rate: int = 3
-    population_batching: bool = True
+
+    _LEGACY_KEYS: ClassVar[FrozenSet[str]] = frozenset({"population_batching"})
 
     def __post_init__(self) -> None:
         if isinstance(self.bounds, Mapping):
@@ -662,7 +674,6 @@ def build_mission_campaign(
             n_offspring=config.mission_offspring,
             mutation_rate=config.mission_mutation_rate,
             seed=config.seed,
-            population_batching=config.population_batching,
         ),
         task=TaskSpec(
             task="salt_pepper_denoise",

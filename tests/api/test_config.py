@@ -1,5 +1,7 @@
 """Config dataclasses: validation and dict/JSON round-tripping."""
 
+import warnings
+
 import pytest
 
 from repro.api.config import (
@@ -20,7 +22,6 @@ ALL_CONFIGS = [
         seed=13,
         target_fitness=1000.0,
         accept_equal=False,
-        batched=False,
         options={"fitness_mode": "merged", "schedule": "interleaved", "n_stages": 2},
     ),
     TaskSpec(task="edge_detect", image_side=48, noise_level=0.2, image_kind="shapes", seed=3),
@@ -55,6 +56,44 @@ class TestRoundTrip:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="does not accept"):
             PlatformConfig.from_dict({"n_arrays": 3, "bogus": 1})
+
+    def test_removed_generation_knobs_still_load(self):
+        # An EvolutionConfig JSON as serialised while the config still had
+        # the ``batched``/``population_batching`` knobs.
+        legacy = (
+            '{"strategy": "two_level", "n_generations": 50, "n_offspring": 9, '
+            '"mutation_rate": 3, "seed": 4, "target_fitness": null, '
+            '"accept_equal": true, "batched": true, "population_batching": false, '
+            '"fitness_cache": null, "racing": false, "scenario": null, "options": {}}'
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            config = EvolutionConfig.from_json(legacy)
+        assert [w.category for w in caught] == [DeprecationWarning]
+        assert "batched, population_batching" in str(caught[0].message)
+        assert config == EvolutionConfig(strategy="two_level", n_generations=50, seed=4)
+        assert "batched" not in config.to_dict()
+        assert "population_batching" not in config.to_dict()
+
+    def test_removed_red_team_knob_still_loads(self):
+        from repro.scenarios.frozen import FROZEN_PROVENANCE, FROZEN_SCENARIOS
+        from repro.scenarios.search import RedTeamConfig
+
+        data = FROZEN_PROVENANCE[FROZEN_SCENARIOS[0]]["search_config"]
+        assert data["population_batching"] is True
+        with pytest.warns(DeprecationWarning, match="population_batching") as caught:
+            config = RedTeamConfig.from_dict(data)
+        assert len(caught) == 1
+        assert config.to_dict() == {
+            key: value for key, value in data.items() if key != "population_batching"
+        }
+
+    def test_legacy_keys_do_not_admit_other_unknown_fields(self):
+        with pytest.raises(ValueError, match="does not accept field\\(s\\): bogus"):
+            with pytest.warns(DeprecationWarning):
+                EvolutionConfig.from_dict({"batched": True, "bogus": 1})
+        with pytest.raises(ValueError, match="does not accept"):
+            PlatformConfig.from_dict({"population_batching": True})
 
     def test_replace(self):
         config = EvolutionConfig(strategy="parallel")

@@ -4,6 +4,7 @@ import pytest
 
 import repro
 import repro.api as api
+import repro.core as core
 import repro.runtime as runtime
 
 
@@ -26,3 +27,9 @@ class TestRuntimeReExports:
     def test_top_level_package_exports_campaigns(self):
         assert repro.CampaignSpec is runtime.CampaignSpec
         assert repro.run_campaign is runtime.run_campaign
+
+
+class TestCoreExports:
+    def test_removed_batch_entry_point_is_not_exported(self):
+        assert "evaluate_batch" not in core.__all__
+        assert not hasattr(core, "evaluate_batch")

@@ -78,45 +78,6 @@ class TestProcessPlanesBatchParity:
             array.process_planes_batch(np.zeros((9, 8, 8), dtype=np.int32), [genotype])
 
 
-class TestEvaluateBatchParity:
-    def test_fitness_values_match_sequential(self, rng):
-        from repro.core.evolution import ArrayEvalContext, evaluate_batch
-        from repro.core.platform import EvolvableHardwarePlatform
-        from repro.imaging.images import make_training_pair
-
-        pair = make_training_pair("salt_pepper_denoise", size=24, seed=5,
-                                  noise_level=0.15)
-        platform = EvolvableHardwarePlatform(n_arrays=3, seed=5)
-        context = ArrayEvalContext(platform, 0, pair.training)
-        batch = random_batch(platform.spec, rng)
-
-        sequential = [context.fitness(g, pair.reference) for g in batch]
-        batched = evaluate_batch(context, batch, pair.reference)
-        assert batched == sequential
-
-    def test_driver_batched_flag_is_byte_identical(self):
-        from repro.core.evolution import ParallelEvolution
-        from repro.core.platform import EvolvableHardwarePlatform
-        from repro.imaging.images import make_training_pair
-
-        pair = make_training_pair("salt_pepper_denoise", size=24, seed=3,
-                                  noise_level=0.1)
-
-        def run(batched):
-            platform = EvolvableHardwarePlatform(n_arrays=3, seed=9)
-            platform.inject_permanent_fault(2, 1, 2)
-            driver = ParallelEvolution(platform, n_offspring=9, mutation_rate=3,
-                                       rng=4, batched=batched)
-            return driver.run(pair.training, pair.reference, n_generations=15)
-
-        sequential = run(False)
-        batched = run(True)
-        assert sequential.best_fitness == batched.best_fitness
-        assert sequential.best_genotypes == batched.best_genotypes
-        assert sequential.fitness_history == batched.fitness_history
-        assert sequential.n_reconfigurations == batched.n_reconfigurations
-
-
 class TestSyncFaultsRename:
     def test_public_name_exists(self):
         from repro.core.platform import EvolvableHardwarePlatform
@@ -124,12 +85,3 @@ class TestSyncFaultsRename:
         platform = EvolvableHardwarePlatform(n_arrays=1, seed=0)
         platform.acb(0).sync_faults()  # public API, no warning
 
-    def test_deprecated_alias_warns_and_delegates(self):
-        from repro.core.platform import EvolvableHardwarePlatform
-
-        platform = EvolvableHardwarePlatform(n_arrays=1, seed=0)
-        platform.inject_permanent_fault(0, 1, 1)
-        acb = platform.acb(0)
-        with pytest.warns(DeprecationWarning):
-            acb._sync_faults()
-        assert (1, 1) in acb.array.faulty_positions

@@ -17,7 +17,7 @@ from repro.array.pe_library import N_FUNCTIONS, apply_function
 from repro.array.systolic_array import ArrayGeometry, SystolicArray
 from repro.array.window import N_WINDOW_PIXELS, extract_windows
 from repro.backends.numpy_engine import _IMPLS, NumpyBackend
-from repro.core.evolution import ArrayEvalContext, evaluate_batch
+from repro.core.evolution import ArrayEvalContext
 from repro.core.modes import ProcessingMode
 from repro.core.platform import EvolvableHardwarePlatform
 from repro.ea.mutation import mutate
@@ -277,7 +277,7 @@ class TestEvaluateBatchParity:
             values = []
             for _ in range(10):
                 batch = [mutate(parent, 3, rng).genotype for _ in range(9)]
-                values.append(evaluate_batch(context, batch, pair.reference))
+                values.append(context.fitness_population(batch, pair.reference))
             fitnesses[backend] = values
         assert fitnesses["reference"] == fitnesses["numpy"]
 

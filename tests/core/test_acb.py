@@ -171,23 +171,3 @@ class TestSyncFaultsDeprecation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             acb.sync_faults()
-
-    def test_legacy_alias_warns_and_still_syncs(self, acb, platform, identity_genotype):
-        acb.configure(identity_genotype)
-        platform.fault_injector.inject_lpd(RegionAddress(0, 3, 1))
-        with pytest.warns(DeprecationWarning, match="sync_faults"):
-            acb._sync_faults()
-        assert acb.array.faulty_positions == ((3, 1),)
-
-    def test_legacy_alias_matches_public_behaviour(self, platform, identity_genotype):
-        # Two identically prepared ACBs: the deprecated alias must leave the
-        # array model in exactly the state the public method produces.
-        public, legacy = platform.acb(1), platform.acb(2)
-        public.configure(identity_genotype)
-        legacy.configure(identity_genotype)
-        platform.fault_injector.inject_lpd(RegionAddress(1, 0, 0))
-        platform.fault_injector.inject_lpd(RegionAddress(2, 0, 0))
-        public.sync_faults()
-        with pytest.warns(DeprecationWarning):
-            legacy._sync_faults()
-        assert legacy.array.faulty_positions == public.array.faulty_positions

@@ -1,38 +1,25 @@
-"""Bit-parity of the population-batched evolution engine.
+"""Bit-parity of the generation step's fast layers against their references.
 
-The population path — ``mutate_population`` offspring construction,
-vectorised placement accounting and the backend's fused
-``evaluate_population`` entry point — must be *byte-identical* to the
-per-candidate loop for fixed seeds: same fitness floats, same genotypes,
-same reconfiguration counts, same fault-RNG stream consumption.  This
-suite pins that contract across both shipped backends, every driver and
-at least one fault pattern, at the artifact level (serialised results)
-and at each layer underneath.
+Each fast entry point of the drivers' generation step —
+``mutate_population`` offspring construction, vectorised placement
+accounting and the backend's fused ``evaluate_population`` — must be
+*byte-identical* to the per-candidate function it replaces for fixed
+seeds: same fitness floats, same genotypes, same reconfiguration counts,
+same fault-RNG stream consumption.  Whole-run trajectories are pinned by
+``tests/core/test_golden_trajectories.py``.
 """
-
-import json
 
 import numpy as np
 import pytest
 
-from repro.api.config import EvolutionConfig, PlatformConfig
-from repro.api.session import EvolutionSession
-from repro.array.genotype import Genotype, GenotypeSpec
+from repro.array.genotype import Genotype
 from repro.array.systolic_array import SystolicArray
 from repro.array.window import extract_windows
-from repro.core.evolution import (
-    ArrayEvalContext,
-    CascadedEvolution,
-    ImitationEvolution,
-    IndependentEvolution,
-    ParallelEvolution,
-)
-from repro.core.modes import CascadeFitnessMode, CascadeSchedule
+from repro.core.evolution import ArrayEvalContext, ParallelEvolution
 from repro.core.platform import EvolvableHardwarePlatform
 from repro.core.two_level_ea import TwoLevelMutationEvolution
 from repro.ea.fitness import FitnessEvaluator
 from repro.ea.mutation import mutate, mutate_population
-from repro.ea.strategy import OnePlusLambdaES
 from repro.imaging.images import make_training_pair
 from repro.imaging.metrics import sae
 
@@ -46,16 +33,6 @@ def make_platform(backend: str, faults: str) -> EvolvableHardwarePlatform:
         platform.inject_permanent_fault(0, 1, 1)
         platform.inject_permanent_fault(1, 2, 0)
     return platform
-
-
-def assert_results_equal(a, b) -> None:
-    """Field-by-field byte equality of two PlatformEvolutionResults."""
-    assert a.best_fitness == b.best_fitness
-    assert a.best_genotypes == b.best_genotypes
-    assert a.fitness_history == b.fitness_history
-    assert a.n_reconfigurations == b.n_reconfigurations
-    assert a.n_evaluations == b.n_evaluations
-    assert a.platform_time_s == b.platform_time_s
 
 
 @pytest.fixture(scope="module")
@@ -238,82 +215,6 @@ class TestEvalContext:
 
 
 # --------------------------------------------------------------------------- #
-# Driver level: every evolution mode, both backends, with and without faults
-# --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("faults", FAULTS)
-class TestDriverParity:
-    def _drivers(self, backend, faults, population_batching, **kwargs):
-        return dict(
-            platform=make_platform(backend, faults),
-            n_offspring=9,
-            mutation_rate=3,
-            rng=11,
-            population_batching=population_batching,
-            **kwargs,
-        )
-
-    def test_parallel(self, backend, faults, pair):
-        a = ParallelEvolution(**self._drivers(backend, faults, False)).run(
-            pair.training, pair.reference, n_generations=15
-        )
-        b = ParallelEvolution(**self._drivers(backend, faults, True)).run(
-            pair.training, pair.reference, n_generations=15
-        )
-        assert_results_equal(a, b)
-
-    def test_two_level(self, backend, faults, pair):
-        a = TwoLevelMutationEvolution(**self._drivers(backend, faults, False)).run(
-            pair.training, pair.reference, n_generations=15
-        )
-        b = TwoLevelMutationEvolution(**self._drivers(backend, faults, True)).run(
-            pair.training, pair.reference, n_generations=15
-        )
-        assert_results_equal(a, b)
-
-    def test_independent(self, backend, faults, pair):
-        tasks = {index: (pair.training, pair.reference) for index in range(3)}
-        a = IndependentEvolution(**self._drivers(backend, faults, False)).run(
-            tasks, n_generations=8
-        )
-        b = IndependentEvolution(**self._drivers(backend, faults, True)).run(
-            tasks, n_generations=8
-        )
-        assert_results_equal(a, b)
-
-    @pytest.mark.parametrize("fitness_mode", list(CascadeFitnessMode))
-    @pytest.mark.parametrize("schedule", list(CascadeSchedule))
-    def test_cascaded(self, backend, faults, fitness_mode, schedule, pair):
-        a = CascadedEvolution(
-            **self._drivers(backend, faults, False),
-            fitness_mode=fitness_mode,
-            schedule=schedule,
-        ).run(pair.training, pair.reference, n_generations=5)
-        b = CascadedEvolution(
-            **self._drivers(backend, faults, True),
-            fitness_mode=fitness_mode,
-            schedule=schedule,
-        ).run(pair.training, pair.reference, n_generations=5)
-        assert_results_equal(a, b)
-
-    def test_imitation(self, backend, faults, pair):
-        def run(population_batching):
-            platform = make_platform(backend, faults)
-            master = Genotype.random(platform.spec, np.random.default_rng(21))
-            platform.configure_array(1, master)
-            driver = ImitationEvolution(
-                platform,
-                n_offspring=9,
-                mutation_rate=3,
-                rng=11,
-                population_batching=population_batching,
-            )
-            return driver.run(0, 1, pair.training, n_generations=10)
-
-        assert_results_equal(run(False), run(True))
-
-
-# --------------------------------------------------------------------------- #
 # Telemetry: the pipeline's cache counters surface on the result
 # --------------------------------------------------------------------------- #
 _STAT_KEYS = (
@@ -324,10 +225,9 @@ _STAT_KEYS = (
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestFitnessCacheTelemetry:
-    """``fitness_cache_stats`` is observability, not part of the parity
-    contract above: ``assert_results_equal`` deliberately skips it, since
-    engines batching candidates differently legitimately split the same
-    work into different hit/miss sequences."""
+    """``fitness_cache_stats`` is observability, not part of the trajectory
+    contract: how candidates are grouped onto contexts decides the hit/miss
+    split, never a fitness value."""
 
     def _run(self, backend, faults, pair, **kwargs):
         driver = ParallelEvolution(
@@ -370,66 +270,12 @@ class TestFitnessCacheTelemetry:
 
 
 # --------------------------------------------------------------------------- #
-# Session level: byte-identical serialised artifacts
-# --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("faults", FAULTS)
-def test_session_artifacts_byte_identical(backend, faults, pair):
-    """The acceptance-criterion form of the contract: for fixed seeds the
-    serialised run results are byte-identical with population batching on
-    and off, on both backends, with and without faults."""
-
-    def run(population_batching: bool) -> str:
-        session = EvolutionSession(
-            make_platform(backend, faults),
-            EvolutionConfig(
-                strategy="parallel",
-                n_generations=12,
-                seed=11,
-                batched=False,
-                population_batching=population_batching,
-            ),
-        )
-        artifact = session.evolve((pair.training, pair.reference))
-        return json.dumps(artifact.results, sort_keys=True)
-
-    assert run(False) == run(True)
-
-
-# --------------------------------------------------------------------------- #
 # Single-array (1+lambda) strategy
 # --------------------------------------------------------------------------- #
 class TestOnePlusLambdaPopulation:
     def _evaluator(self, pair, backend="numpy"):
         array = SystolicArray(backend=backend)
         return FitnessEvaluator(array, pair.training, pair.reference)
-
-    def test_population_run_matches_sequential(self, pair):
-        spec = GenotypeSpec()
-
-        def run(population):
-            evaluator = self._evaluator(pair)
-            es = OnePlusLambdaES(
-                evaluator.evaluate,
-                spec=spec,
-                n_offspring=6,
-                mutation_rate=2,
-                rng=17,
-                evaluate_population=(
-                    evaluator.evaluate_population if population else None
-                ),
-                population_batching=population,
-            )
-            return es.run(n_generations=10)
-
-        a, b = run(False), run(True)
-        assert a.best.fitness == b.best.fitness
-        assert a.best.genotype == b.best.genotype
-        assert a.n_evaluations == b.n_evaluations
-        assert a.n_reconfigurations == b.n_reconfigurations
-        assert [r.parent_fitness for r in a.history] == [
-            r.parent_fitness for r in b.history
-        ]
 
     def test_evaluator_population_matches_scalar(self, pair):
         evaluator = self._evaluator(pair, backend="reference")

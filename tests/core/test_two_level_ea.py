@@ -62,14 +62,14 @@ class TestTwoLevelMutationEvolution:
         """First batch mutates from the parent with rate k, later batches from
         the previous batch's chromosome on the same array with rate 1."""
         from repro.array.genotype import Genotype
-        from repro.core.evolution import _ArrayEvalContext
+        from repro.core.evolution import ArrayEvalContext
 
         driver = TwoLevelMutationEvolution(
             platform, n_offspring=9, mutation_rate=4, low_mutation_rate=1, rng=0
         )
         parent = Genotype.random(platform.spec, rng)
         image = np.zeros((16, 16), dtype=np.uint8)
-        contexts = [_ArrayEvalContext(platform, index, image) for index in range(3)]
+        contexts = [ArrayEvalContext(platform, index, image) for index in range(3)]
         plan = driver._generation_offspring(parent, contexts)
 
         assert len(plan) == 9

@@ -156,6 +156,16 @@ class TestPersistentTier:
         assert pruned["dropped"] == 1 and pruned["kept"] == before
         assert cache.verify() == []
 
+    def test_publish_after_a_torn_line_reaches_fresh_readers(self, tmp_path):
+        cache = PersistentFitnessCache(tmp_path / "fcache")
+        cache.publish({"0" * 64: 10.0})
+        with open(cache.index_path, "a", encoding="utf-8") as handle:
+            handle.write('{"fitness": 30.0, "key": "' + "2" * 32)  # killed mid-line
+        cache.publish({"1" * 64: 20.0})
+        reader = PersistentFitnessCache(tmp_path / "fcache")
+        assert reader.lookup(["0" * 64, "1" * 64]) == {"0" * 64: 10.0, "1" * 64: 20.0}
+        assert reader.verify() == ["line 2: unparseable index entry"]
+
     def test_resolve_persistent_cache_coercion(self, tmp_path):
         assert resolve_persistent_cache(None) is None
         from_path = resolve_persistent_cache(tmp_path / "fcache")

@@ -127,8 +127,11 @@ class TestGenerationHook:
 
     def test_hook_composes_with_population_batching(self, spec):
         calls = []
-        es = OnePlusLambdaES(_counting_fitness(spec), spec=spec, n_offspring=3,
-                             mutation_rate=1, rng=0, population_batching=True,
+        fitness = _counting_fitness(spec)
+        es = OnePlusLambdaES(fitness, spec=spec, n_offspring=3, mutation_rate=1, rng=0,
+                             evaluate_population=lambda genotypes: [
+                                 fitness(genotype) for genotype in genotypes
+                             ],
                              generation_hook=calls.append)
         es.run(n_generations=3)
         assert calls == [1, 2, 3]

@@ -1,7 +1,7 @@
-"""Property-based parity of the population-batched evaluation engine.
+"""Property-based parity of the population evaluation entry points.
 
 Random population sizes, geometries, seeds and fault patterns: the fused
-``evaluate_population`` entry point and the batched mutation operator
+``evaluate_population`` entry point and the population mutation operator
 must reproduce the per-candidate loop bit for bit on every draw.
 """
 

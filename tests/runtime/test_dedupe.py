@@ -55,6 +55,25 @@ class TestDedupeCache:
         reopened = DedupeCache(tmp_path / "cache")
         assert reopened.signatures() == {"sig-good"}
 
+    def test_publish_after_a_torn_line_reaches_fresh_readers(self, tmp_path):
+        cache = DedupeCache(tmp_path / "cache")
+        cache.publish("sig-good", {"results": {}})
+        with cache.index_path.open("a", encoding="utf-8") as handle:
+            handle.write('{"signature": "sig-torn')  # killed mid-line
+        cache.publish("sig-next", {"results": {"v": 1}})
+        reader = DedupeCache(tmp_path / "cache")
+        assert reader.signatures() == {"sig-good", "sig-next"}
+        assert reader.lookup("sig-next") == {"results": {"v": 1}}
+        # The fragment stays isolated on its own line: it is the only
+        # line of the index that fails to parse.
+        unparseable = []
+        for line in cache.index_path.read_text(encoding="utf-8").splitlines():
+            try:
+                json.loads(line)
+            except json.JSONDecodeError:
+                unparseable.append(line)
+        assert unparseable == ['{"signature": "sig-torn']
+
 
 class TestEngineDedupe:
     def test_identical_campaign_is_served_entirely_from_cache(

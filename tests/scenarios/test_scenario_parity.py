@@ -1,11 +1,10 @@
-"""Mid-evolution scenario determinism: backends, batching modes, executors.
+"""Mid-evolution scenario determinism: backends and executors.
 
 The acceptance gate of the scenario engine: one seed + one scenario spec
 must produce identical event schedules, identical fitness trajectories,
 identical winning genotypes and identical fault-stream consumption —
 whether evaluation runs on the ``reference``, ``numpy`` or ``compiled``
-backend, population-batched or per-candidate, and whichever campaign
-executor schedules the run.
+backend, and whichever campaign executor schedules the run.
 """
 
 import numpy as np
@@ -24,7 +23,7 @@ SEED = 2013
 TASK = TaskSpec(task="salt_pepper_denoise", image_side=20, noise_level=0.1, seed=SEED)
 
 
-def run_session(strategy, scenario, backend, population_batching, options=None):
+def run_session(strategy, scenario, backend, options=None):
     session = EvolutionSession(
         PlatformConfig(n_arrays=3, seed=SEED, backend=backend),
         EvolutionConfig(
@@ -32,7 +31,6 @@ def run_session(strategy, scenario, backend, population_batching, options=None):
             n_generations=10,
             seed=SEED,
             scenario=scenario,
-            population_batching=population_batching,
             options=options or {},
         ),
     )
@@ -68,11 +66,10 @@ class TestBackendParity:
     @pytest.mark.parametrize(
         "scenario", ["seu-storm", "mixed-burst", "scrub-race", *FROZEN_SCENARIOS]
     )
-    @pytest.mark.parametrize("population_batching", [True, False])
-    def test_parallel_evolution_is_byte_identical(self, scenario, population_batching):
-        ref_session, ref = run_session("parallel", scenario, "reference", population_batching)
-        np_session, num = run_session("parallel", scenario, "numpy", population_batching)
-        cc_session, comp = run_session("parallel", scenario, "compiled", population_batching)
+    def test_parallel_evolution_is_byte_identical(self, scenario):
+        ref_session, ref = run_session("parallel", scenario, "reference")
+        np_session, num = run_session("parallel", scenario, "numpy")
+        cc_session, comp = run_session("parallel", scenario, "compiled")
         assert comparable(ref) == comparable(num)
         assert comparable(ref) == comparable(comp)
         assert ref.results["scenario"]["n_events"] > 0
@@ -82,28 +79,23 @@ class TestBackendParity:
         assert ref_probe == stream_probe(np_session)
         assert ref_probe == stream_probe(cc_session)
 
-    def test_population_batching_matches_per_candidate(self):
-        _, batched = run_session("parallel", "mixed-burst", "numpy", True)
-        _, sequential = run_session("parallel", "mixed-burst", "numpy", False)
-        assert comparable(batched) == comparable(sequential)
-
     @pytest.mark.parametrize("strategy,options", [
         ("two_level", {"low_mutation_rate": 1}),
         ("cascaded", {"n_stages": 2}),
         ("independent", {}),
     ])
     def test_other_drivers_are_byte_identical(self, strategy, options):
-        _, ref = run_session(strategy, "seu-storm", "reference", True, options)
-        _, num = run_session(strategy, "seu-storm", "numpy", True, options)
-        _, comp = run_session(strategy, "seu-storm", "compiled", True, options)
+        _, ref = run_session(strategy, "seu-storm", "reference", options)
+        _, num = run_session(strategy, "seu-storm", "numpy", options)
+        _, comp = run_session(strategy, "seu-storm", "compiled", options)
         assert comparable(ref) == comparable(num)
         assert comparable(ref) == comparable(comp)
 
     def test_scenario_actually_perturbs_the_run(self):
         """Sanity check that the timeline is not a no-op: a quiet run and a
         stormy run with the same seeds diverge."""
-        _, quiet = run_session("parallel", None, "reference", True)
-        _, storm = run_session("parallel", "seu-storm", "reference", True)
+        _, quiet = run_session("parallel", None, "reference")
+        _, storm = run_session("parallel", "seu-storm", "reference")
         assert "scenario" not in quiet.results
         assert storm.results["scenario"]["n_events"] > 0
         assert (

@@ -26,7 +26,7 @@ After an intentional performance change (new backend, slower-but-correct
 fix), regenerate the baseline from a fresh run and commit it::
 
     python -m pytest benchmarks/test_bench_backends.py \
-        benchmarks/test_bench_population.py -q -s \
+        benchmarks/test_bench_fitness_pipeline.py -q -s \
         --benchmark-json /tmp/bench.json
     python tools/bench_compare.py /tmp/bench.json benchmarks/baseline.json \
         --refresh
