@@ -35,14 +35,14 @@ import tempfile
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Union
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple, Union
 
 try:  # pragma: no cover - import guard exercised implicitly per platform
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
-__all__ = ["CacheStats", "FitnessCache", "PersistentFitnessCache"]
+__all__ = ["CacheStats", "FitnessCache", "IndexView", "PersistentFitnessCache"]
 
 
 class CacheStats:
@@ -173,15 +173,16 @@ def _file_lock(lock_path: Path):
             fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
 
-def append_healed(path: Path, text: str) -> None:
+def append_healed(path: Union[str, os.PathLike], text: str) -> int:
     """Append ``text`` (whole newline-terminated lines) to ``path`` and fsync.
 
     Callers hold the file's advisory lock.  A writer killed mid-append
     leaves the file without a trailing newline; the append then starts a
     new line first, so the new lines never join the orphan fragment (which
-    readers skip as unparseable).
+    readers skip as unparseable).  Returns the file's end offset after
+    the write.
     """
-    with path.open("a+b") as handle:
+    with open(path, "a+b") as handle:
         if handle.seek(0, os.SEEK_END) > 0:
             handle.seek(-1, os.SEEK_END)
             if handle.read(1) != b"\n":
@@ -189,6 +190,173 @@ def append_healed(path: Path, text: str) -> None:
         handle.write(text.encode("utf-8"))
         handle.flush()
         os.fsync(handle.fileno())
+        return handle.tell()
+
+
+#: What a line that is not a well-formed index entry raises while parsing
+#: (``ValueError`` covers ``JSONDecodeError`` and undecodable bytes).
+_UNPARSEABLE = (KeyError, TypeError, ValueError)
+
+
+class IndexView:
+    """Parsed, first-write-wins view of one append-only JSONL index.
+
+    The view remembers how far it has parsed (:attr:`offset`, the end of
+    the last complete line), which file it parsed (``(st_dev, st_ino)``
+    and modification time) and the bytes of the last line it consumed.
+    :meth:`refresh_locked` costs one ``os.stat`` while the file is
+    unchanged.  When the file has grown it reads from the start of that
+    last line, so one read both checks the line still sits where it was
+    and fetches only the new lines.  The view reloads the whole file when
+    the file shrank, its inode changed (an atomic replace such as
+    ``prune``), or its last line no longer reads back (a directory
+    deleted and recreated on a reused inode).  A rewrite that keeps the
+    inode, the size and the modification time (possible only within one
+    timestamp tick) is seen when the file next changes.
+
+    Only newline-terminated lines are consumed: a torn fragment left by a
+    killed writer is re-read until the next healed append finishes its
+    line, which is then skipped as unparseable.  The first line for a key
+    wins, as ``prune`` and ``verify`` assume.
+
+    ``parse`` maps one decoded JSON line to its ``(key, value)``.  Every
+    ``*_locked`` method requires :attr:`lock` to be held.
+    """
+
+    __slots__ = (
+        "path", "lock", "entries", "offset", "_parse", "_identity", "_mtime_ns", "_last_line"
+    )
+
+    def __init__(
+        self, path: Union[str, os.PathLike], parse: Callable[[Any], Tuple[str, Any]]
+    ) -> None:
+        self.path = os.fspath(path)
+        self.lock = threading.Lock()
+        self.entries: Dict[str, Any] = {}
+        self.offset = 0
+        self._parse = parse
+        self._identity: Optional[Tuple[int, int]] = None
+        # None after this process's own append: the next refresh adopts
+        # whatever modification time the file then has.
+        self._mtime_ns: Optional[int] = None
+        self._last_line = b""
+
+    def refresh_locked(self) -> None:
+        """Catch up with lines other handles or processes appended."""
+        try:
+            stat = os.stat(self.path)
+        except FileNotFoundError:
+            if self._identity is not None:
+                self._clear_locked()
+            return
+        if (
+            (stat.st_dev, stat.st_ino) == self._identity
+            and stat.st_size == self.offset
+            and self._mtime_ns in (None, stat.st_mtime_ns)
+        ):
+            self._mtime_ns = stat.st_mtime_ns
+            return
+        with open(self.path, "rb") as handle:
+            stat = os.fstat(handle.fileno())
+            last = self._last_line
+            if (stat.st_dev, stat.st_ino) == self._identity and stat.st_size >= self.offset:
+                handle.seek(self.offset - len(last))
+                data = handle.read()
+                if data.startswith(last):
+                    self._consume_locked(data[len(last) :])
+                    self._mtime_ns = stat.st_mtime_ns
+                    return
+                handle.seek(0)
+            self._clear_locked()
+            self._identity = (stat.st_dev, stat.st_ino)
+            self._mtime_ns = stat.st_mtime_ns
+            self._consume_locked(handle.read())
+
+    def append_locked(self, values: Mapping[str, Any], text: str) -> None:
+        """Append ``text`` (the index lines of ``values``) and fold it in.
+
+        The caller also holds the index's file lock and has just
+        refreshed, so ``values`` are new keys and nothing but a torn
+        fragment (unparseable by construction) lies between :attr:`offset`
+        and the appended lines: the view advances to the end offset the
+        append returns without re-reading the file.
+        """
+        end = append_healed(self.path, text)
+        for key, value in values.items():
+            self.entries.setdefault(key, value)
+        self.offset = end
+        self._mtime_ns = None
+        self._last_line = text[text.rfind("\n", 0, -1) + 1 :].encode("utf-8")
+
+    def _clear_locked(self) -> None:
+        self.entries = {}
+        self.offset = 0
+        self._identity = None
+        self._mtime_ns = None
+        self._last_line = b""
+
+    def _consume_locked(self, data: bytes) -> None:
+        """Parse the complete lines of ``data``, which starts at :attr:`offset`."""
+        end = data.rfind(b"\n") + 1
+        if not end:
+            return
+        entries = self.entries
+        parse = self._parse
+        for line in data[:end].split(b"\n"):
+            try:
+                key, value = parse(json.loads(line))
+            except _UNPARSEABLE:
+                # Blank, a torn fragment or not an entry: skipped.  A killed
+                # publisher's work is simply redone until republished.
+                continue
+            entries.setdefault(key, value)
+        self.offset += end
+        self._last_line = data[data.rfind(b"\n", 0, end - 1) + 1 : end]
+
+
+def _parse_fitness_line(entry: Any) -> Tuple[str, float]:
+    return str(entry["key"]), float(entry["fitness"])
+
+
+#: Process-wide index views of :class:`PersistentFitnessCache`, keyed by
+#: resolved index path: every handle on one index shares one view, so a
+#: sweep's runs parse each line once instead of once per run.
+_VIEWS: Dict[str, IndexView] = {}
+_VIEWS_LOCK = threading.Lock()
+#: Registry bound.  Creating a view first drops views whose index file is
+#: gone, then the least recently requested ones beyond this count.
+_MAX_VIEWS = 4
+
+
+def _shared_view(index_path: Path) -> IndexView:
+    """The process-wide view of ``index_path``, created on first request."""
+    key = os.path.realpath(index_path)
+    with _VIEWS_LOCK:
+        view = _VIEWS.pop(key, None)
+        if view is None:
+            for stale in [path for path in _VIEWS if not os.path.exists(path)]:
+                del _VIEWS[stale]
+            while len(_VIEWS) >= _MAX_VIEWS:
+                del _VIEWS[next(iter(_VIEWS))]
+            view = IndexView(key, _parse_fitness_line)
+        _VIEWS[key] = view
+        return view
+
+
+def _forget_views_in_child() -> None:
+    """Give a forked child an empty registry behind a fresh lock.
+
+    A lock another parent thread held at fork time is never released in
+    the child; views are rebuilt from disk on demand.
+    """
+    global _VIEWS_LOCK
+    _VIEWS_LOCK = threading.Lock()
+    with _VIEWS_LOCK:
+        _VIEWS.clear()
+
+
+if hasattr(os, "register_at_fork"):  # pragma: no cover - POSIX only
+    os.register_at_fork(after_in_child=_forget_views_in_child)
 
 
 class PersistentFitnessCache:
@@ -209,8 +377,9 @@ class PersistentFitnessCache:
 
     Thread-safe within a process; cross-process appends are serialised
     with the same advisory ``fcntl`` lock discipline as the campaign
-    store, and the in-memory view refreshes by index size so concurrent
-    workers observe each other's entries.
+    store.  Every handle on one index shares one process-wide
+    :class:`IndexView`, which tail-reads what concurrent workers append;
+    hit/miss telemetry (:attr:`stats`) stays per handle.
     """
 
     INDEX_FILE = "fitness.jsonl"
@@ -221,9 +390,7 @@ class PersistentFitnessCache:
     def __init__(self, root: Union[str, os.PathLike]) -> None:
         self.root = Path(root)
         self.stats = CacheStats()
-        self._lock = threading.Lock()
-        self._entries: Dict[str, float] = {}
-        self._loaded_size = -1
+        self._view = _shared_view(self.index_path)
 
     @property
     def index_path(self) -> Path:
@@ -253,35 +420,15 @@ class PersistentFitnessCache:
             + "\n",
         )
 
-    def _refresh_locked(self) -> None:
-        """Re-read the index if another process has grown it."""
-        if not self.index_path.exists():
-            return
-        size = self.index_path.stat().st_size
-        if size == self._loaded_size:
-            return
-        entries: Dict[str, float] = {}
-        for line in self.index_path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-                entries[str(entry["key"])] = float(entry["fitness"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                # A publisher killed mid-append: drop the fragment; the
-                # evaluation is simply recomputed until republished.
-                continue
-        self._entries = entries
-        self._loaded_size = size
-
     # ------------------------------------------------------------------ #
     def lookup(self, keys: Iterable[str]) -> Dict[str, float]:
         """The cached fitness of every known key (hits/misses counted)."""
         keys = list(keys)
-        with self._lock:
-            self._refresh_locked()
-            found = {key: self._entries[key] for key in keys if key in self._entries}
+        view = self._view
+        with view.lock:
+            view.refresh_locked()
+            entries = view.entries
+            found = {key: entries[key] for key in keys if key in entries}
         self.stats.hits += len(found)
         self.stats.misses += len(keys) - len(found)
         return found
@@ -296,31 +443,30 @@ class PersistentFitnessCache:
         if not values:
             return 0
         self._ensure_root()
-        with self._lock:
+        view = self._view
+        with view.lock:
             with _file_lock(self.lock_path):
-                self._refresh_locked()
+                view.refresh_locked()
                 fresh = {
-                    key: value
-                    for key, value in values.items()
-                    if key not in self._entries
+                    key: value for key, value in values.items() if key not in view.entries
                 }
                 if not fresh:
                     return 0
-                lines = "".join(
-                    json.dumps({"key": key, "fitness": value}, sort_keys=True) + "\n"
-                    for key, value in fresh.items()
+                view.append_locked(
+                    fresh,
+                    "".join(
+                        json.dumps({"key": key, "fitness": value}, sort_keys=True) + "\n"
+                        for key, value in fresh.items()
+                    ),
                 )
-                append_healed(self.index_path, lines)
-                self._entries.update(fresh)
-                self._loaded_size = self.index_path.stat().st_size
         return len(fresh)
 
     # ------------------------------------------------------------------ #
     def summary(self) -> Dict[str, Any]:
         """Index statistics for the ``repro-ehw cache`` subcommand."""
-        with self._lock:
-            self._refresh_locked()
-            entries = len(self._entries)
+        with self._view.lock:
+            self._view.refresh_locked()
+            entries = len(self._view.entries)
         size = self.index_path.stat().st_size if self.index_path.exists() else 0
         return {
             "root": str(self.root),
@@ -332,36 +478,31 @@ class PersistentFitnessCache:
     def prune(self) -> Dict[str, int]:
         """Compact the index: drop duplicate/corrupt lines, keep first wins."""
         self._ensure_root()
-        with self._lock:
-            with _file_lock(self.lock_path):
-                kept: Dict[str, float] = {}
-                total = dropped = 0
-                if self.index_path.exists():
-                    for line in self.index_path.read_text(encoding="utf-8").splitlines():
-                        line = line.strip()
-                        if not line:
-                            continue
-                        total += 1
-                        try:
-                            entry = json.loads(line)
-                            key = str(entry["key"])
-                            value = float(entry["fitness"])
-                        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                            dropped += 1
-                            continue
-                        if key in kept:
-                            dropped += 1
-                            continue
-                        kept[key] = value
-                _atomic_write_text(
-                    self.index_path,
-                    "".join(
-                        json.dumps({"key": key, "fitness": value}, sort_keys=True) + "\n"
-                        for key, value in kept.items()
-                    ),
-                )
-                self._entries = kept
-                self._loaded_size = self.index_path.stat().st_size
+        with _file_lock(self.lock_path):
+            kept: Dict[str, float] = {}
+            total = dropped = 0
+            if self.index_path.exists():
+                for line in self.index_path.read_text(encoding="utf-8").splitlines():
+                    line = line.strip()
+                    if not line:
+                        continue
+                    total += 1
+                    try:
+                        key, value = _parse_fitness_line(json.loads(line))
+                    except _UNPARSEABLE:
+                        dropped += 1
+                        continue
+                    if key in kept:
+                        dropped += 1
+                        continue
+                    kept[key] = value
+            _atomic_write_text(
+                self.index_path,
+                "".join(
+                    json.dumps({"key": key, "fitness": value}, sort_keys=True) + "\n"
+                    for key, value in kept.items()
+                ),
+            )
         return {"lines": total, "kept": len(kept), "dropped": dropped}
 
     def verify(self) -> List[str]:
@@ -382,10 +523,8 @@ class PersistentFitnessCache:
             if not line:
                 continue
             try:
-                entry = json.loads(line)
-                key = str(entry["key"])
-                value = float(entry["fitness"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                key, value = _parse_fitness_line(json.loads(line))
+            except _UNPARSEABLE:
                 problems.append(f"line {lineno}: unparseable index entry")
                 continue
             if len(key) != 64 or any(c not in "0123456789abcdef" for c in key):

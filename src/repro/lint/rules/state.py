@@ -14,10 +14,10 @@ Two rules:
   and flags writes to those attributes outside a lock context.  The
   repo-wide convention that a ``*_locked`` function is only called with
   the lock already held is honoured.  The known shared hot spots
-  (``WorkQueue``, ``DedupeCache``, the process-global plane/LUT stores
-  of the compiled backend) are *designated* explicitly, so the rule
-  fires even when a store has no lock at all yet — exactly the failure
-  mode inference alone cannot see.
+  (``WorkQueue``, the append-only index views and their registry, the
+  process-global plane/LUT stores of the compiled backend) are
+  *designated* explicitly, so the rule fires even when a store has no
+  lock at all yet — exactly the failure mode inference alone cannot see.
 """
 
 from __future__ import annotations
@@ -61,17 +61,18 @@ _CONSTRUCTOR_METHODS = ("__init__", "__post_init__", "__new__")
 #: violation.
 DESIGNATED_CLASS_ATTRS: Dict[str, Set[str]] = {
     "WorkQueue": {"_items", "_pending", "_by_lease"},
-    "DedupeCache": {"_entries", "_loaded_size"},
-    # The persistent fitness-cache tier is shared between campaign workers
-    # under the same refresh-by-size discipline as DedupeCache.
-    "PersistentFitnessCache": {"_entries", "_loaded_size"},
+    # The tail-read view behind DedupeCache and every PersistentFitnessCache
+    # handle on one index (shared between threads and campaign runs).
+    "IndexView": {"entries", "offset", "_identity", "_mtime_ns", "_last_line"},
 }
 
 #: Module-global stores guarded by contract (matched by rel-path suffix):
-#: the compiled backend's content-addressed program stores and the
-#: process-global lookup-table caches.
+#: the compiled backend's content-addressed program stores, the
+#: process-global lookup-table caches and the fitness-cache view registry.
 DESIGNATED_MODULE_GLOBALS: Dict[str, Set[str]] = {
     "repro/backends/compiled.py": {"_STORES", "_STORE_HINT"},
+    # The process-wide registry of persistent fitness-cache index views.
+    "repro/backends/fitness_cache.py": {"_VIEWS"},
     "repro/backends/lut.py": {"_pair_luts", "_unary_luts", "_chain_luts", "_fused_luts"},
 }
 

@@ -40,11 +40,10 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import threading
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 try:  # pragma: no cover - import guard exercised implicitly per platform
     import fcntl
@@ -52,7 +51,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
 from repro.api.artifact import RunArtifact
-from repro.backends.fitness_cache import append_healed
+from repro.backends.fitness_cache import IndexView, append_healed
 from repro.runtime.campaign import CampaignSpec, RunSpec
 
 __all__ = ["CampaignStore", "DedupeCache"]
@@ -333,6 +332,10 @@ class CampaignStore:
         return summary
 
 
+def _parse_dedupe_line(entry: Any) -> Tuple[str, Dict[str, Any]]:
+    return str(entry["signature"]), entry
+
+
 class DedupeCache:
     """Content-addressed artifact cache shared *across* campaign stores.
 
@@ -361,9 +364,8 @@ class DedupeCache:
 
     def __init__(self, root: Union[str, os.PathLike]) -> None:
         self.root = Path(root)
-        self._lock = threading.Lock()
-        self._entries: Dict[str, Dict[str, Any]] = {}
-        self._loaded_size = -1
+        # Owned, not shared: one long-lived instance serves the service.
+        self._view = IndexView(self.index_path, _parse_dedupe_line)
 
     @property
     def index_path(self) -> Path:
@@ -381,34 +383,11 @@ class DedupeCache:
         return self.artifacts_dir / f"{signature}.json"
 
     # ------------------------------------------------------------------ #
-    def _refresh_locked(self) -> None:
-        """Re-read the index if another process has grown it."""
-        if not self.index_path.exists():
-            return
-        size = self.index_path.stat().st_size
-        if size == self._loaded_size:
-            return
-        entries: Dict[str, Dict[str, Any]] = {}
-        for line in self.index_path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                # A publisher killed mid-append; the artifact write happened
-                # first (and atomically), so dropping the fragment only means
-                # one signature goes unnoticed until republished.
-                continue
-            entries[entry["signature"]] = entry
-        self._entries = entries
-        self._loaded_size = size
-
     def signatures(self) -> Set[str]:
         """All signatures currently published."""
-        with self._lock:
-            self._refresh_locked()
-            return set(self._entries)
+        with self._view.lock:
+            self._view.refresh_locked()
+            return set(self._view.entries)
 
     def __len__(self) -> int:
         return len(self.signatures())
@@ -419,9 +398,9 @@ class DedupeCache:
     # ------------------------------------------------------------------ #
     def lookup(self, signature: str) -> Optional[Dict[str, Any]]:
         """The stored artifact dict for ``signature``, or ``None``."""
-        with self._lock:
-            self._refresh_locked()
-            if signature not in self._entries:
+        with self._view.lock:
+            self._view.refresh_locked()
+            if signature not in self._view.entries:
                 return None
         path = self.artifact_path(signature)
         try:
@@ -443,10 +422,11 @@ class DedupeCache:
         """
         self.root.mkdir(parents=True, exist_ok=True)
         self.artifacts_dir.mkdir(exist_ok=True)
-        with self._lock:
+        view = self._view
+        with view.lock:
             with _file_lock(self.lock_path):
-                self._refresh_locked()
-                if signature in self._entries:
+                view.refresh_locked()
+                if signature in view.entries:
                     return False
                 _atomic_write_text(
                     self.artifact_path(signature),
@@ -457,7 +437,5 @@ class DedupeCache:
                     "artifact": f"{self.ARTIFACTS_DIR}/{signature}.json",
                     **meta,
                 }
-                append_healed(self.index_path, json.dumps(entry, sort_keys=True) + "\n")
-                self._entries[signature] = entry
-                self._loaded_size = self.index_path.stat().st_size
+                view.append_locked({signature: entry}, json.dumps(entry, sort_keys=True) + "\n")
         return True

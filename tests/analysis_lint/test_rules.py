@@ -210,6 +210,44 @@ class TestLockDiscipline:
         (finding,) = report.findings
         assert finding.symbol == "_pair_luts"
 
+    def test_fitness_cache_view_registry_is_designated(self, lint_source):
+        source = textwrap.dedent(
+            """
+            import threading
+
+            _VIEWS = {}
+            _VIEWS_LOCK = threading.Lock()
+
+            def register(path, view):
+                with _VIEWS_LOCK:
+                    _VIEWS[path] = view
+
+            def forget(path):
+                del _VIEWS[path]
+            """
+        )
+        report = lint_source(source, rules=["LCK001"], rel="repro/backends/fitness_cache.py")
+        (finding,) = report.findings
+        assert finding.symbol == "_VIEWS"
+        assert finding.line == 12
+
+    def test_index_view_state_is_designated(self, lint_source):
+        report = lint_source(
+            textwrap.dedent(
+                """
+                class IndexView:
+                    def __init__(self):
+                        self.offset = 0
+
+                    def skip(self, count):
+                        self.offset += count
+                """
+            ),
+            rules=["LCK001"],
+        )
+        (finding,) = report.findings
+        assert finding.symbol == "IndexView.offset"
+
     def test_module_global_guarded_by_module_lock(self, lint_source):
         report = lint_source(
             textwrap.dedent(

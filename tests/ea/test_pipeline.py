@@ -6,6 +6,7 @@ and verify), racing early rejection (exactness of bounds and survivor
 totals), and the scope/invalidation semantics everything hangs off.
 """
 
+import json
 import math
 
 import numpy as np
@@ -165,6 +166,23 @@ class TestPersistentTier:
         reader = PersistentFitnessCache(tmp_path / "fcache")
         assert reader.lookup(["0" * 64, "1" * 64]) == {"0" * 64: 10.0, "1" * 64: 20.0}
         assert reader.verify() == ["line 2: unparseable index entry"]
+
+    def test_lookup_serves_the_first_duplicate_like_prune_and_verify(self, tmp_path):
+        root = tmp_path / "fcache"
+        root.mkdir()
+        key = "a" * 64
+        lines = [{"fitness": 10.0, "key": key}, {"fitness": 99.0, "key": key}]
+        (root / PersistentFitnessCache.INDEX_FILE).write_text(
+            "".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8"
+        )
+        cache = PersistentFitnessCache(root)
+        assert cache.verify() == [
+            f"line 2: key {key[:12]}... republished with 99.0 != first-written 10.0"
+        ]
+        assert PersistentFitnessCache(root).lookup([key]) == {key: 10.0}
+        cache.prune()
+        assert cache.verify() == []
+        assert PersistentFitnessCache(root).lookup([key]) == {key: 10.0}
 
     def test_resolve_persistent_cache_coercion(self, tmp_path):
         assert resolve_persistent_cache(None) is None

@@ -39,13 +39,25 @@ class TestDedupeCache:
         assert reopened.signatures() == {"sig"}
 
     def test_live_instance_sees_foreign_appends(self, tmp_path):
-        """Size-change refresh: a second handle (another process in real
+        """Tail-read refresh: a second handle (another process in real
         deployments) publishing is visible without reconstructing."""
         local = DedupeCache(tmp_path / "cache")
         assert local.lookup("sig") is None  # loads (empty) index
         foreign = DedupeCache(tmp_path / "cache")
         foreign.publish("sig", {"results": {"v": 7}})
         assert local.lookup("sig") == {"results": {"v": 7}}
+
+    def test_a_duplicate_signature_keeps_its_first_entry(self, tmp_path):
+        cache = DedupeCache(tmp_path / "cache")
+        cache.publish("sig", {"results": {"v": 1}}, run_id="first")
+        with cache.index_path.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"signature": "sig", "run_id": "second"}) + "\n")
+        # The index entry itself is only visible through the view: lookup
+        # serves the artifact file named after the signature.
+        for reader in (cache, DedupeCache(tmp_path / "cache")):
+            assert reader.signatures() == {"sig"}
+            assert reader._view.entries["sig"]["run_id"] == "first"
+            assert reader.lookup("sig") == {"results": {"v": 1}}
 
     def test_corrupt_index_line_is_skipped(self, tmp_path):
         cache = DedupeCache(tmp_path / "cache")
