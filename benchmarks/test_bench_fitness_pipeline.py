@@ -11,7 +11,7 @@ is performance — which makes these benchmarks the acceptance gates:
   parent-fitness trajectory stay identical to the exhaustive run.  The
   gate runs on the reference engine, whose evaluation cost is strictly
   proportional to the rows evaluated — a stable wall-clock signal on a
-  noisy CI box, where the compiled engine's fused-LUT evaluations are
+  noisy CI box, where the numpy engine's memoised evaluations are
   already cheap enough that racing's win drowns in cache effects.  The
   backends are bit-exact by contract (the parity suites enforce it), so
   the evaluation cut carries over unchanged.
@@ -20,8 +20,7 @@ is performance — which makes these benchmarks the acceptance gates:
   cold (publishing) run, serve every candidate from disk (zero full
   evaluations) and still reproduce the identical trajectory.  The numpy
   backend keeps this honest: its memoisation is per instance, so the
-  cold run cannot borrow state from a previous run the way the
-  process-global compiled artifacts could.
+  cold run cannot borrow state from a previous run.
 
 Each arm is timed over ``N_TRIALS`` runs and the minima are compared —
 the minimum is the cleanest estimate of intrinsic cost under noisy

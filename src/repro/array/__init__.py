@@ -11,9 +11,6 @@ systolically on a 3x3 sliding window of an 8-bit grayscale image.
   per PE, one 9-to-1 input-mux gene per array input, one output-select gene.
 * :mod:`repro.array.window` — 3x3 sliding-window extraction with edge
   replication (the FIFO line buffers of the hardware).
-* :mod:`repro.array.planes` — packed contiguous plane storage
-  (:class:`~repro.array.planes.PlaneArena`) used by the ``compiled``
-  evaluation backend.
 * :mod:`repro.array.systolic_array` — the vectorised functional simulator of
   the array, including per-PE fault overrides and the pipeline latency model.
 * :mod:`repro.array.processing_element` — the single-PE model used by the
@@ -28,7 +25,6 @@ from repro.array.pe_library import (
     function_name,
     function_table,
 )
-from repro.array.planes import PlaneArena
 from repro.array.processing_element import ProcessingElement
 from repro.array.systolic_array import ArrayGeometry, SystolicArray
 from repro.array.window import WINDOW_SIZE, extract_windows
@@ -41,7 +37,6 @@ __all__ = [
     "apply_function",
     "function_name",
     "function_table",
-    "PlaneArena",
     "ProcessingElement",
     "ArrayGeometry",
     "SystolicArray",

@@ -26,12 +26,10 @@ Built-in engines:
   sweep, the behavioural ground truth;
 * ``numpy`` (:mod:`repro.backends.numpy_engine`) — vectorised lowering
   with memoised subcircuits and dead-PE elimination; bit-exact against
-  ``reference`` and >=5x faster on the evolution workload;
-* ``compiled`` (:mod:`repro.backends.compiled`) — genotypes lowered to
-  fused 256x256 lookup-table kernels over packed contiguous plane
-  storage, with process-global content-addressed compilation caches;
-  bit-exact against ``reference`` and >=5x faster than ``numpy`` on the
-  repeated-workload evolution benchmark.
+  ``reference`` and >=5x faster on the evolution workload.
+
+``compiled`` is registered as an alias of ``numpy`` so stored configs,
+campaign specs and ``--backend compiled`` still load.
 
 See ``docs/architecture.md`` (backend section) and
 ``docs/performance.md`` for when and how to switch.
@@ -45,7 +43,6 @@ from repro.backends.base import (
     register_backend,
     resolve_backend,
 )
-from repro.backends.compiled import CompiledBackend
 from repro.backends.fitness_cache import CacheStats, FitnessCache, PersistentFitnessCache
 from repro.backends.numpy_engine import NumpyBackend
 from repro.backends.reference import ReferenceBackend
@@ -59,7 +56,7 @@ if "reference" not in BACKENDS:
 if "numpy" not in BACKENDS:
     BACKENDS.register("numpy", NumpyBackend)
 if "compiled" not in BACKENDS:
-    BACKENDS.register("compiled", CompiledBackend)
+    BACKENDS.register("compiled", NumpyBackend)
 
 __all__ = [
     "BACKENDS",
@@ -70,7 +67,6 @@ __all__ = [
     "resolve_backend",
     "ReferenceBackend",
     "NumpyBackend",
-    "CompiledBackend",
     "CacheStats",
     "FitnessCache",
     "PersistentFitnessCache",

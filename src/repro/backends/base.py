@@ -12,7 +12,7 @@ API one):
 >>> sorted(BACKENDS.names())
 ['compiled', 'numpy', 'reference']
 
-Three engines ship built in:
+Two engines ship built in:
 
 ``reference``
     The readable per-PE sweep (one whole-plane NumPy op per PE), the
@@ -21,10 +21,8 @@ Three engines ship built in:
     A vectorised engine that lowers each genotype to a plane-level
     pipeline with hash-consed common-subexpression caching and
     dead-PE elimination (see :mod:`repro.backends.numpy_engine`).
-``compiled``
-    A kernel-compiling engine: programs lower to fused 256x256
-    lookup-table gathers over packed contiguous plane storage, cached
-    process-globally by content (see :mod:`repro.backends.compiled`).
+    Also registered as ``compiled``, so stored configs that name that
+    retired engine still load.
 
 Swapping backends can change wall-clock time only, never results —
 the parity suite in ``tests/backends/`` enforces bit-exactness over
@@ -231,7 +229,7 @@ def register_backend(name: str, obj: Any = None, *, replace: bool = False):
 def resolve_backend(spec: Union[str, EvaluationBackend, type, None]) -> EvaluationBackend:
     """Resolve a backend selector into a ready instance.
 
-    Accepts a registered name (``"reference"``/``"numpy"``/``"compiled"``), an
+    Accepts a registered name (``"reference"``/``"numpy"``), an
     :class:`EvaluationBackend` instance (returned as-is), a backend class
     (instantiated), or ``None`` (the ``reference`` default).
 

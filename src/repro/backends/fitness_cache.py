@@ -1,10 +1,9 @@
 """The unified fitness cache: one audited memo behind every evaluation path.
 
-Before the staged fitness pipeline, three divergent fitness memos existed
-side by side: the numpy engine's per-(store, reference, node) dict, the
-compiled engine's copy of the same, and ``ArrayEvalContext``'s
-genotype-keyed cache that silently disabled itself on fault-tainted
-arrays.  This module replaces all three with two audited components:
+Every evaluation path shares two audited fitness memos, in place of the
+divergent per-engine dicts and the genotype-keyed context cache (which
+silently disabled itself on fault-tainted arrays) that preceded the
+staged fitness pipeline:
 
 * :class:`FitnessCache` — the in-process tier.  A bounded, scope-aware
   mapping from a caller-chosen key (a hash-consed node id inside a
@@ -81,8 +80,8 @@ class FitnessCache:
     A *scope* groups entries that are only comparable under one context
     (one reference image for the store-scoped tiers): :meth:`scope`
     clears the entries whenever the token changes, and ``scope_data``
-    gives the owner a slot for derived per-scope scratch (the engines
-    keep their pre-widened int16 reference there).
+    gives the owner a slot for derived per-scope scratch (the numpy
+    engine keeps its pre-widened int16 reference there).
     """
 
     __slots__ = ("max_entries", "stats", "scope_data", "_entries", "_scope_token")

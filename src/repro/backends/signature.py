@@ -1,25 +1,18 @@
 """Canonical candidate signatures shared by every evaluation cache.
 
-Both vectorised engines lower genotypes through the same three memo-key
-conventions, which used to be copy-pasted between
-:mod:`repro.backends.numpy_engine` and :mod:`repro.backends.compiled`:
+The vectorised engine (:mod:`repro.backends.numpy_engine`) keys its
+memos by two conventions defined here:
 
 * **Packed node signatures** — a hash-consed subcircuit is identified by
   ``((west << 21) | north) << 4 | gene`` with :data:`NO_NORTH` as the
   arity-1 sentinel and commutative genes canonicalised smaller-operand
-  first (:func:`pack_signature`).  The engines keep the arithmetic
-  inlined in their walk loops for speed; this module is the normative
+  first (:func:`pack_signature`).  The engine keeps the arithmetic
+  inlined in its walk loop for speed; this module is the normative
   definition, and ``tests/backends/test_signature_parity.py`` pins the
-  inlined copies to it.
+  inlined copy to it.
 * **Whole-candidate keys** — a genotype's raw gene bytes plus its output
-  row (:func:`candidate_key`), the key of both engines' ``cand_intern``
-  memos.
-* **Geometry-prefixed batch keys** — the concatenated gene bytes of a
-  population batch prefixed with the array geometry
-  (:func:`batch_key`), the compiled engine's whole-batch memo key.  The
-  prefix matters: stores are shared across arrays, and two
-  ``rows x cols`` splits of the same PE count could concatenate to
-  identical gene bytes for different circuits.
+  row (:func:`candidate_key`), the key of the engine's ``cand_intern``
+  memo.
 
 On top of these, :func:`fitness_key` derives the *persistent* fitness
 signature used by the cross-run cache tier
@@ -34,7 +27,7 @@ changes meaning, so stale caches miss instead of lying.
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Sequence, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
@@ -49,7 +42,6 @@ __all__ = [
     "MAX_NODES",
     "NO_NORTH",
     "array_digest",
-    "batch_key",
     "candidate_bytes",
     "candidate_key",
     "fitness_key",
@@ -58,8 +50,8 @@ __all__ = [
 
 #: Signature packing: an arity-2 signature packs into one int as
 #: ((west << 21) | north) << 4 | gene, so node ids must stay below
-#: NO_NORTH (the arity-1 sentinel).  Engines rebuild their stores once
-#: they reach MAX_NODES ids and reject a single call whose worst case
+#: NO_NORTH (the arity-1 sentinel).  The engine rebuilds its stores once
+#: they reach MAX_NODES ids and rejects a single call whose worst case
 #: would cross the sentinel.
 NO_NORTH = (1 << 21) - 1
 MAX_NODES = 1 << 20
@@ -94,7 +86,7 @@ def pack_signature(gene: int, west: int, north: int = NO_NORTH) -> int:
     ``west``/``north`` are non-negative node ids below :data:`NO_NORTH`
     (``north`` defaults to the arity-1 sentinel); commutative genes are
     canonicalised smaller operand first.  This is the normative form of
-    the expression both engines inline in their candidate walks.
+    the expression the engine inlines in its candidate walk.
     """
     if north != NO_NORTH and north < west and COMMUTATIVE[gene]:
         west, north = north, west
@@ -106,7 +98,7 @@ def candidate_key(genotype: "Genotype") -> Tuple[bytes, bytes, bytes, int]:
 
     uint8 gene arrays expose their values directly through ``tobytes()``,
     which doubles as the memo key and makes prefix comparisons C-speed
-    slices — the convention both engines' ``cand_intern`` memos share.
+    slices — the key of the engine's ``cand_intern`` memo.
     """
     return (
         genotype.function_genes.tobytes(),
@@ -126,25 +118,6 @@ def candidate_bytes(genotype: "Genotype") -> bytes:
             genotype.output_select.to_bytes(4, "little"),
         )
     )
-
-
-def batch_key(rows: int, cols: int, genotypes: Sequence["Genotype"]) -> bytes:
-    """The geometry-prefixed whole-batch memo key of a population batch."""
-    if rows <= 256:
-        tail = bytes([g.output_select for g in genotypes])
-    else:  # exotic geometry: fixed-width output encoding
-        tail = b"".join(g.output_select.to_bytes(4, "little") for g in genotypes)
-    parts = [
-        part
-        for g in genotypes
-        for part in (
-            g.function_genes.tobytes(),
-            g.west_mux.tobytes(),
-            g.north_mux.tobytes(),
-        )
-    ]
-    parts.append(tail)
-    return rows.to_bytes(4, "little") + cols.to_bytes(4, "little") + b"".join(parts)
 
 
 def array_digest(values: np.ndarray) -> str:

@@ -3,7 +3,7 @@
 Every fitness request of the reproduction — the (1+λ) ES
 (:mod:`repro.ea.strategy` via :mod:`repro.ea.fitness`), the platform
 drivers (:mod:`repro.core.evolution`, :mod:`repro.core.two_level_ea`)
-and, through them, all three evaluation backends — flows through a
+and, through them, both evaluation backends — flows through a
 :class:`FitnessPipeline`.  The drivers' one generation step hands each
 array its whole share of the offspring population in a single
 :meth:`FitnessPipeline.evaluate_population` call; a single-candidate

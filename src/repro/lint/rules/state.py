@@ -14,8 +14,7 @@ Two rules:
   and flags writes to those attributes outside a lock context.  The
   repo-wide convention that a ``*_locked`` function is only called with
   the lock already held is honoured.  The known shared hot spots
-  (``WorkQueue``, the append-only index views and their registry, the
-  process-global plane/LUT stores of the compiled backend) are
+  (``WorkQueue``, the append-only index views and their registry) are
   *designated* explicitly, so the rule fires even when a store has no
   lock at all yet — exactly the failure mode inference alone cannot see.
 """
@@ -67,13 +66,9 @@ DESIGNATED_CLASS_ATTRS: Dict[str, Set[str]] = {
 }
 
 #: Module-global stores guarded by contract (matched by rel-path suffix):
-#: the compiled backend's content-addressed program stores, the
-#: process-global lookup-table caches and the fitness-cache view registry.
+#: the process-wide registry of persistent fitness-cache index views.
 DESIGNATED_MODULE_GLOBALS: Dict[str, Set[str]] = {
-    "repro/backends/compiled.py": {"_STORES", "_STORE_HINT"},
-    # The process-wide registry of persistent fitness-cache index views.
     "repro/backends/fitness_cache.py": {"_VIEWS"},
-    "repro/backends/lut.py": {"_pair_luts", "_unary_luts", "_chain_luts", "_fused_luts"},
 }
 
 

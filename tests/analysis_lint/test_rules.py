@@ -201,14 +201,14 @@ class TestLockDiscipline:
     def test_designated_globals_fire_without_any_lock(self, lint_source):
         # The inference-proof case: the store has no lock at all, so
         # nothing is ever "written under a lock" — only the designation
-        # catches it (this is how the unguarded LUT caches were found).
+        # catches it (this is how unguarded process-global caches are found).
         report = lint_source(
-            "_pair_luts = {}\n\ndef put(key, value):\n    _pair_luts[key] = value\n",
+            "_VIEWS = {}\n\ndef put(key, value):\n    _VIEWS[key] = value\n",
             rules=["LCK001"],
-            rel="repro/backends/lut.py",
+            rel="repro/backends/fitness_cache.py",
         )
         (finding,) = report.findings
-        assert finding.symbol == "_pair_luts"
+        assert finding.symbol == "_VIEWS"
 
     def test_fitness_cache_view_registry_is_designated(self, lint_source):
         source = textwrap.dedent(

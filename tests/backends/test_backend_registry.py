@@ -7,7 +7,6 @@ from repro.api.config import PlatformConfig
 from repro.array.systolic_array import SystolicArray
 from repro.backends import (
     BACKENDS,
-    CompiledBackend,
     EvaluationBackend,
     NumpyBackend,
     ReferenceBackend,
@@ -71,7 +70,8 @@ class TestResolve:
     def test_by_name(self):
         assert isinstance(resolve_backend("numpy"), NumpyBackend)
         assert isinstance(resolve_backend("reference"), ReferenceBackend)
-        assert isinstance(resolve_backend("compiled"), CompiledBackend)
+        # "compiled" names the numpy engine so stored configs still load.
+        assert isinstance(resolve_backend("compiled"), NumpyBackend)
 
     def test_instance_passthrough(self):
         backend = NumpyBackend()
@@ -118,6 +118,15 @@ class TestWiring:
         config = PlatformConfig(n_arrays=2, backend="numpy")
         assert PlatformConfig.from_dict(config.to_dict()) == config
         assert config.build().backend_name == "numpy"
+
+    def test_stored_compiled_config_loads_and_builds_numpy(self):
+        stored = PlatformConfig(n_arrays=2).to_dict()
+        stored["backend"] = "compiled"
+        config = PlatformConfig.from_dict(stored)
+        assert config.backend == "compiled"
+        assert config.to_dict() == stored
+        platform = config.build()
+        assert all(isinstance(acb.array.backend, NumpyBackend) for acb in platform.acbs)
 
     def test_platform_config_rejects_unknown_backend(self):
         with pytest.raises(UnknownBackendError, match="available"):

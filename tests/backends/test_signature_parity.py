@@ -1,11 +1,11 @@
 """Parity of the shared memo-key conventions (`repro.backends.signature`).
 
-The numpy and compiled engines inline the packed-signature arithmetic in
-their candidate walks for speed; :mod:`repro.backends.signature` is the
-normative definition.  This suite pins the inlined copies to it: the
-packing expression itself, the whole-candidate ``cand_intern`` keys both
-engines intern under, the geometry prefix of batch keys, and the
-sensitivity of the persistent fitness-key derivation.
+The numpy engine inlines the packed-signature arithmetic in its
+candidate walk for speed; :mod:`repro.backends.signature` is the
+normative definition.  This suite pins the inlined copy to it: the
+packing expression itself, the whole-candidate ``cand_intern`` keys the
+engine interns under, and the sensitivity of the persistent fitness-key
+derivation.
 """
 
 import numpy as np
@@ -15,13 +15,11 @@ from repro.array.genotype import Genotype
 from repro.array.systolic_array import SystolicArray
 from repro.array.window import extract_windows
 from repro.backends.numpy_engine import NumpyBackend
-from repro.backends.compiled import CompiledBackend
 from repro.backends.signature import (
     COMMUTATIVE,
     FITNESS_KEY_VERSION,
     NO_NORTH,
     array_digest,
-    batch_key,
     candidate_bytes,
     candidate_key,
     fitness_key,
@@ -39,12 +37,12 @@ def workload():
 
 
 # --------------------------------------------------------------------------- #
-# The packing expression: normative helper vs the engines' inlined form
+# The packing expression: normative helper vs the engine's inlined form
 # --------------------------------------------------------------------------- #
 class TestPackSignature:
     def test_matches_inlined_arity2_form(self):
-        """pack_signature must equal the exact expression both engine walk
-        loops inline (numpy_engine and compiled, commutative swap included)."""
+        """pack_signature must equal the exact expression the numpy engine's
+        walk loop inlines (commutative swap included)."""
         rng = np.random.default_rng(0)
         for _ in range(500):
             gene = int(rng.integers(0, len(COMMUTATIVE)))
@@ -88,7 +86,7 @@ class TestPackSignature:
 
 
 # --------------------------------------------------------------------------- #
-# Whole-candidate memo keys: both engines intern under candidate_key
+# Whole-candidate memo keys: the engine interns under candidate_key
 # --------------------------------------------------------------------------- #
 class TestCandidateKeyParity:
     def test_engines_intern_identical_candidate_keys(self, workload):
@@ -100,13 +98,6 @@ class TestCandidateKeyParity:
         numpy_array.evaluate_population(planes, genotypes, reference)
         numpy_store = numpy_backend._stores[id(planes)]
         assert set(numpy_store.cand_intern) == expected
-
-        compiled_backend = CompiledBackend()
-        compiled_backend.clear_cache()
-        compiled_array = SystolicArray(backend=compiled_backend)
-        compiled_array.evaluate_population(planes, genotypes, reference)
-        compiled_store = compiled_backend._store_for_locked(planes)
-        assert set(compiled_store.cand_intern) == expected
 
     def test_candidate_key_distinguishes_every_gene_field(self):
         base = Genotype.identity()
@@ -128,20 +119,6 @@ class TestCandidateKeyParity:
         assert flat == candidate_bytes(genotype.copy())
         fg, w, n, out = candidate_key(genotype)
         assert flat == fg + w + n + out.to_bytes(4, "little")
-
-
-# --------------------------------------------------------------------------- #
-# Batch keys: the geometry prefix prevents cross-geometry aliasing
-# --------------------------------------------------------------------------- #
-class TestBatchKey:
-    def test_geometry_prefix_disambiguates(self, workload):
-        _, _, genotypes = workload
-        assert batch_key(4, 4, genotypes) != batch_key(2, 8, genotypes)
-
-    def test_key_is_order_sensitive_and_deterministic(self, workload):
-        _, _, genotypes = workload
-        assert batch_key(4, 4, genotypes) == batch_key(4, 4, list(genotypes))
-        assert batch_key(4, 4, genotypes) != batch_key(4, 4, genotypes[::-1])
 
 
 # --------------------------------------------------------------------------- #

@@ -23,7 +23,7 @@ from repro.ea.mutation import mutate, mutate_population
 from repro.imaging.images import make_training_pair
 from repro.imaging.metrics import sae
 
-BACKENDS = ("reference", "numpy", "compiled")
+BACKENDS = ("reference", "numpy")
 FAULTS = ("healthy", "faulty")
 
 

@@ -29,7 +29,7 @@ from repro.core.platform import EvolvableHardwarePlatform
 from repro.core.two_level_ea import TwoLevelMutationEvolution
 from repro.imaging.images import make_training_pair
 
-BACKENDS = ("reference", "numpy", "compiled")
+BACKENDS = ("reference", "numpy")
 FAULTS = ("healthy", "faulty")
 
 

@@ -19,7 +19,7 @@ from repro.backends.fitness_cache import PersistentFitnessCache
 from repro.ea.pipeline import FitnessPipeline, resolve_persistent_cache
 from repro.imaging.metrics import sae
 
-BACKENDS = ("reference", "numpy", "compiled")
+BACKENDS = ("reference", "numpy")
 
 
 @pytest.fixture
@@ -123,7 +123,7 @@ class TestPersistentTier:
         assert writer.persistent_misses == len(genotypes)
 
         reader = FitnessPipeline(
-            SystolicArray(backend="compiled"), persistent=str(root)
+            SystolicArray(backend="reference"), persistent=str(root)
         )
         served = reader.evaluate_population(planes, genotypes, reference)
         assert served == published

@@ -24,7 +24,7 @@ def _random_images(rng, side):
 
 @settings(max_examples=25, deadline=None)
 @given(
-    backend=st.sampled_from(["reference", "numpy", "compiled"]),
+    backend=st.sampled_from(["reference", "numpy"]),
     population=st.integers(1, 12),
     seed=st.integers(0, 2**16),
     side=st.integers(8, 16),

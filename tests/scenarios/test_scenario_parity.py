@@ -3,8 +3,8 @@
 The acceptance gate of the scenario engine: one seed + one scenario spec
 must produce identical event schedules, identical fitness trajectories,
 identical winning genotypes and identical fault-stream consumption —
-whether evaluation runs on the ``reference``, ``numpy`` or ``compiled``
-backend, and whichever campaign executor schedules the run.
+whether evaluation runs on the ``reference`` or ``numpy`` backend, and
+whichever campaign executor schedules the run.
 """
 
 import numpy as np
@@ -69,15 +69,12 @@ class TestBackendParity:
     def test_parallel_evolution_is_byte_identical(self, scenario):
         ref_session, ref = run_session("parallel", scenario, "reference")
         np_session, num = run_session("parallel", scenario, "numpy")
-        cc_session, comp = run_session("parallel", scenario, "compiled")
         assert comparable(ref) == comparable(num)
-        assert comparable(ref) == comparable(comp)
         assert ref.results["scenario"]["n_events"] > 0
         # Probe each session exactly once: probing draws from (and thereby
         # advances) the live fault streams.
         ref_probe = stream_probe(ref_session)
         assert ref_probe == stream_probe(np_session)
-        assert ref_probe == stream_probe(cc_session)
 
     @pytest.mark.parametrize("strategy,options", [
         ("two_level", {"low_mutation_rate": 1}),
@@ -87,9 +84,7 @@ class TestBackendParity:
     def test_other_drivers_are_byte_identical(self, strategy, options):
         _, ref = run_session(strategy, "seu-storm", "reference", options)
         _, num = run_session(strategy, "seu-storm", "numpy", options)
-        _, comp = run_session(strategy, "seu-storm", "compiled", options)
         assert comparable(ref) == comparable(num)
-        assert comparable(ref) == comparable(comp)
 
     def test_scenario_actually_perturbs_the_run(self):
         """Sanity check that the timeline is not a no-op: a quiet run and a
@@ -114,14 +109,14 @@ class TestExecutorParity:
             scenario=FaultScenario(name="sweepable", seu_rate=0.4, scrub_period=3),
             grid={
                 "scenario.seu_rate": [0.4, 1.0],
-                "platform.backend": ["reference", "numpy", "compiled"],
+                "platform.backend": ["reference", "numpy"],
             },
             seed=SEED,
         )
 
     def test_scenario_axis_expands_into_evolution_configs(self):
         runs = self.build_spec().expand()
-        assert len(runs) == 6
+        assert len(runs) == 4
         rates = {run.evolution.scenario["seu_rate"] for run in runs}
         assert rates == {0.4, 1.0}
         # The spec round-trips through JSON with its scenario intact.
@@ -174,7 +169,7 @@ class TestExecutorParity:
             evolution=EvolutionConfig(strategy="parallel", n_generations=6, seed=SEED),
             task=TASK,
             scenario=SCENARIOS.get(scenario),
-            grid={"platform.backend": ["reference", "numpy", "compiled"]},
+            grid={"platform.backend": ["reference", "numpy"]},
             seed=SEED,
         )
         serial = run_campaign(spec, executor="serial")
@@ -264,9 +259,8 @@ class TestRedTeamSearchParity:
             ]
             return payload
 
-        reference, numpy_, compiled = (
+        reference, numpy_ = (
             red_team_search(self.tiny_config(backend=backend))
-            for backend in ("reference", "numpy", "compiled")
+            for backend in ("reference", "numpy")
         )
         assert content(reference) == content(numpy_)
-        assert content(reference) == content(compiled)
