@@ -141,6 +141,11 @@ class SystolicArray:
         # reset_fault_streams() can rewind a reused array to generation
         # zero of the same garbage sequence.
         self._fault_seeds: Dict[Tuple[int, int], Union[int, Tuple[int, ...], None]] = {}
+        # The last generator made for each position, with its entropy and
+        # start state: restarting the same stream at the same position
+        # (what every ACB fault sync does) rewinds that generator in place
+        # instead of seeding a new one.
+        self._fault_starts: Dict[Tuple[int, int], Tuple[object, np.random.Generator, dict]] = {}
         if faults:
             for position, seed in faults.items():
                 self.inject_fault(position, seed)
@@ -187,11 +192,21 @@ class SystolicArray:
             )
         return row, col
 
-    @staticmethod
-    def _spawn_fault_rng(entropy: Union[int, Tuple[int, ...]]) -> np.random.Generator:
+    def _spawn_fault_rng(
+        self, position: Tuple[int, int], entropy: Union[int, Tuple[int, ...]]
+    ) -> np.random.Generator:
+        """A generator at the start of ``entropy``'s stream, for ``position``."""
+        start = self._fault_starts.get(position)
+        if start is not None and start[0] == entropy:
+            _, rng, state = start
+            rng.bit_generator.state = state
+            return rng
         if isinstance(entropy, tuple):
-            return np.random.default_rng(np.random.SeedSequence(list(entropy)))
-        return np.random.default_rng(entropy)
+            rng = np.random.default_rng(np.random.SeedSequence(list(entropy)))
+        else:
+            rng = np.random.default_rng(entropy)
+        self._fault_starts[position] = (entropy, rng, rng.bit_generator.state)
+        return rng
 
     def inject_fault(self, position: Tuple[int, int], seed: Optional[int] = None) -> None:
         """Mark a PE position as permanently damaged.
@@ -223,7 +238,7 @@ class SystolicArray:
         else:
             entropy = int(seed)
         self._fault_seeds[(row, col)] = entropy
-        self._fault_rngs[(row, col)] = self._spawn_fault_rng(entropy)
+        self._fault_rngs[(row, col)] = self._spawn_fault_rng((row, col), entropy)
 
     def clear_fault(self, position: Tuple[int, int]) -> None:
         """Remove a previously injected fault (used by tests and scrubbing of SEUs)."""
@@ -248,7 +263,7 @@ class SystolicArray:
         achieves the same by re-injecting from the fabric state.)
         """
         for position, entropy in self._fault_seeds.items():
-            self._fault_rngs[position] = self._spawn_fault_rng(entropy)
+            self._fault_rngs[position] = self._spawn_fault_rng(position, entropy)
 
     def fault_seed(self, position: Tuple[int, int]) -> Union[int, Tuple[int, ...]]:
         """The entropy a faulty position's stream was created from."""
@@ -266,6 +281,9 @@ class SystolicArray:
         block from it, in candidate order — that is the contract that
         keeps all evaluation backends (and batch vs sequential paths)
         bit-exact on fault experiments.
+
+        Draw from it within one evaluation only: re-injecting the seed a
+        position last used rewinds the same generator object in place.
         """
         return self._fault_rngs[position]
 

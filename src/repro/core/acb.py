@@ -254,6 +254,25 @@ class ArrayControlBlock:
         self.sync_faults()
         return self.array.process(image, self.genotype)
 
+    def detection_fitness(self, planes: np.ndarray, reference: np.ndarray) -> float:
+        """Fitness of the configured circuit on held window planes (fault detection).
+
+        Scores through the fused population entry point
+        (:meth:`~repro.array.systolic_array.SystolicArray.evaluate_population`)
+        with a population of one, so a healthy array reuses the backend's
+        memoised nodes and fitness for planes it has seen before.  The value
+        equals ``sae(self.shadow_process(image), reference)`` for
+        ``planes = extract_windows(image)``: :meth:`sync_faults` restarts
+        every fault stream first, and each faulty position draws one block,
+        exactly as on the image path.
+        """
+        if self.genotype is None:
+            raise RuntimeError(
+                f"ACB {self.index} has no configured circuit; call configure() first"
+            )
+        self.sync_faults()
+        return float(self.array.evaluate_population(planes, [self.genotype], reference)[0])
+
     def evaluate_fitness(
         self,
         input_image: np.ndarray,

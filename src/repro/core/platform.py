@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.array.genotype import Genotype, GenotypeSpec
 from repro.array.systolic_array import ArrayGeometry
+from repro.array.window import extract_windows
 from repro.core.acb import ArrayControlBlock
 from repro.core.modes import ProcessingMode
 from repro.core.voter import FitnessVoter, PixelVoter
@@ -39,7 +40,6 @@ from repro.fpga.icap import IcapModel
 from repro.fpga.reconfiguration_engine import ReconfigurationEngine
 from repro.fpga.resources import ResourceModel, ResourceReport
 from repro.fpga.scrubbing import ScrubReport, Scrubber
-from repro.imaging.metrics import sae
 from repro.soc.memory import ExternalMemory, MemoryRegion
 from repro.soc.register_map import AcbRegisterMap, RegisterFile
 from repro.timing.model import EvolutionTimingModel
@@ -113,6 +113,10 @@ class EvolvableHardwarePlatform:
         self.fitness_voter = FitnessVoter(threshold=fitness_voter_threshold)
         self.pixel_voter = PixelVoter()
         self._calibration_fitness: Dict[int, float] = {}
+        # Window planes of the last image scored by fault detection, keyed
+        # by (dtype, shape, bytes) so an in-place edit of the image re-extracts.
+        self._held_key: Optional[Tuple[str, Tuple[int, ...], bytes]] = None
+        self._held_planes: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ #
     # Introspection helpers
@@ -359,6 +363,35 @@ class EvolvableHardwarePlatform:
             acb.sync_faults()
         return report
 
+    def calibration_planes(self, image: np.ndarray) -> np.ndarray:
+        """The ``(9, H, W)`` window planes of a detection image, extracted once.
+
+        Byte-identical images (same dtype, shape and pixels) get the *same*
+        read-only planes object back, so each array's backend keeps one
+        memoised store for them across monitoring cycles.  The held key is
+        a snapshot of the image's bytes: mutating the image in place, or
+        passing a different one, extracts afresh.
+        """
+        image = np.asarray(image)
+        key = (image.dtype.str, image.shape, image.tobytes())
+        if key != self._held_key:
+            planes = extract_windows(image)
+            planes.flags.writeable = False
+            self._held_key, self._held_planes = key, planes
+        return self._held_planes
+
+    def detection_fitness(self, image: np.ndarray,
+                          reference_image: np.ndarray) -> Dict[int, float]:
+        """Every array's fitness on ``image`` through the held-planes path.
+
+        Values equal ``sae(acb.shadow_process(image), reference_image)``
+        per array (see
+        :meth:`~repro.core.acb.ArrayControlBlock.detection_fitness`).
+        """
+        planes = self.calibration_planes(image)
+        reference_image = np.asarray(reference_image)
+        return {acb.index: acb.detection_fitness(planes, reference_image) for acb in self.acbs}
+
     def calibrate(self, calibration_image: np.ndarray,
                   reference_image: np.ndarray) -> Dict[int, float]:
         """Record each array's fitness on a calibration image (§V.A step b).
@@ -366,12 +399,7 @@ class EvolvableHardwarePlatform:
         The stored values are the baseline the self-healing strategy
         compares against at the next calibration to detect faults.
         """
-        calibration_image = np.asarray(calibration_image)
-        reference_image = np.asarray(reference_image)
-        self._calibration_fitness = {}
-        for acb in self.acbs:
-            output = acb.shadow_process(calibration_image)
-            self._calibration_fitness[acb.index] = sae(output, reference_image)
+        self._calibration_fitness = self.detection_fitness(calibration_image, reference_image)
         return dict(self._calibration_fitness)
 
     @property
@@ -390,12 +418,8 @@ class EvolvableHardwarePlatform:
         """
         if not self._calibration_fitness:
             raise RuntimeError("no calibration snapshot; call calibrate() first")
-        calibration_image = np.asarray(calibration_image)
-        reference_image = np.asarray(reference_image)
-        flags: Dict[int, bool] = {}
-        for acb in self.acbs:
-            output = acb.shadow_process(calibration_image)
-            fitness = sae(output, reference_image)
-            baseline = self._calibration_fitness[acb.index]
-            flags[acb.index] = abs(fitness - baseline) > tolerance
-        return flags
+        current = self.detection_fitness(calibration_image, reference_image)
+        return {
+            index: abs(fitness - self._calibration_fitness[index]) > tolerance
+            for index, fitness in current.items()
+        }

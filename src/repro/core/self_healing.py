@@ -34,7 +34,6 @@ from repro.core.evolution import ImitationEvolution, PlatformEvolutionResult
 from repro.core.modes import ProcessingMode
 from repro.core.platform import EvolvableHardwarePlatform
 from repro.core.voter import VoteResult
-from repro.imaging.metrics import sae
 from repro.soc.memory import MemoryRegion
 
 __all__ = [
@@ -131,8 +130,10 @@ class CascadedSelfHealing:
         return self.platform.calibrate(self.calibration_image, self.calibration_reference)
 
     def _array_fitness(self, array_index: int) -> float:
-        output = self.platform.acb(array_index).shadow_process(self.calibration_image)
-        return sae(output, self.calibration_reference)
+        planes = self.platform.calibration_planes(self.calibration_image)
+        return self.platform.acb(array_index).detection_fitness(
+            planes, self.calibration_reference
+        )
 
     def _choose_master(self, faulty_index: int) -> Optional[int]:
         """Closest healthy neighbour in the stack (prefer the upstream one)."""
@@ -166,9 +167,9 @@ class CascadedSelfHealing:
 
         # Step (d): re-evaluate fitness with the calibration image.
         report.log("reevaluate_fitness")
-        current = {
-            index: self._array_fitness(index) for index in range(self.platform.n_arrays)
-        }
+        current = self.platform.detection_fitness(
+            self.calibration_image, self.calibration_reference
+        )
         report.fitness_before = dict(current)
 
         # Step (e): compare against the baseline.
@@ -203,8 +204,11 @@ class CascadedSelfHealing:
             report.fault_class = FaultClass.TRANSIENT
             report.recovered = True
             report.log("transient_fault_removed", faulty_index)
+            # Every evaluation restarts the fault streams, so the faulty
+            # array's score is the after_scrub value already in hand.
             report.fitness_after = {
-                index: self._array_fitness(index) for index in range(self.platform.n_arrays)
+                index: after_scrub if index == faulty_index else self._array_fitness(index)
+                for index in range(self.platform.n_arrays)
             }
             return report
 
@@ -250,12 +254,11 @@ class CascadedSelfHealing:
         report.log("bypass_released", faulty_index)
 
         # Refresh the calibration baseline for the recovered array: after a
-        # permanent fault the expected fitness may legitimately differ.
-        final = {
-            index: self._array_fitness(index) for index in range(self.platform.n_arrays)
-        }
-        report.fitness_after = final
-        self.platform.calibrate(self.calibration_image, self.calibration_reference)
+        # permanent fault the expected fitness may legitimately differ.  The
+        # new baseline is also the post-recovery fitness of every array.
+        report.fitness_after = self.platform.calibrate(
+            self.calibration_image, self.calibration_reference
+        )
         recovered_fitness = recovery.best_fitness.get(faulty_index, float("inf"))
         threshold = self.imitation_target_fitness
         report.recovered = threshold is None or recovered_fitness <= threshold * 10
@@ -336,11 +339,7 @@ class TmrSelfHealing:
 
     def array_fitnesses(self) -> Dict[int, float]:
         """Per-array fitness on the pattern image (what the fitness voter sees)."""
-        values: Dict[int, float] = {}
-        for acb in self.platform.acbs:
-            output = acb.shadow_process(self.pattern_image)
-            values[acb.index] = sae(output, self.pattern_reference)
-        return values
+        return self.platform.detection_fitness(self.pattern_image, self.pattern_reference)
 
     def vote(self) -> VoteResult:
         """Step (b)/(c): compare per-array fitness values with the fitness voter."""

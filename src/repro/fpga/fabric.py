@@ -128,16 +128,23 @@ class FpgaFabric:
             pe_clb_columns=geometry.pe_clb_columns
         )
         self._regions: Dict[RegionAddress, RegionState] = {}
+        # Regions are fixed at construction, so each array's states are
+        # indexed once here, in address order (row-major within the array).
+        self._array_regions: List[List[RegionState]] = []
         for array_index in range(n_arrays):
+            states: List[RegionState] = []
             for row in range(geometry.rows):
                 for col in range(geometry.cols):
                     address = RegionAddress(array_index, row, col)
                     golden = self.library.get(int(PEFunction.IDENTITY_W))
-                    self._regions[address] = RegionState(
+                    state = RegionState(
                         address=address,
                         configured_gene=golden.function_gene,
                         words=golden.words.copy(),
                     )
+                    self._regions[address] = state
+                    states.append(state)
+            self._array_regions.append(states)
 
     # ------------------------------------------------------------------ #
     # Addressing
@@ -153,13 +160,13 @@ class FpgaFabric:
 
     def regions_of_array(self, array_index: int) -> List[RegionState]:
         """All region states belonging to one processing array."""
+        return list(self._regions_of(array_index))
+
+    def _regions_of(self, array_index: int) -> List[RegionState]:
+        """The held per-array index behind :meth:`regions_of_array` (not a copy)."""
         if not 0 <= array_index < self.n_arrays:
             raise ValueError(f"array_index out of range: {array_index}")
-        return [
-            state
-            for address, state in sorted(self._regions.items())
-            if address.array_index == array_index
-        ]
+        return self._array_regions[array_index]
 
     def all_addresses(self) -> List[RegionAddress]:
         """All region addresses, sorted."""
@@ -262,14 +269,14 @@ class FpgaFabric:
         """(row, col) positions of array ``array_index`` whose PE misbehaves."""
         return [
             (state.address.row, state.address.col)
-            for state in self.regions_of_array(array_index)
+            for state in self._regions_of(array_index)
             if state.behaving_faulty
         ]
 
     def configured_genes(self, array_index: int) -> np.ndarray:
         """The function genes currently configured on one array, as a 2-D array."""
         genes = np.zeros((self.geometry.rows, self.geometry.cols), dtype=np.int16)
-        for state in self.regions_of_array(array_index):
+        for state in self._regions_of(array_index):
             genes[state.address.row, state.address.col] = state.configured_gene
         return genes
 

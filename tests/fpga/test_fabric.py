@@ -24,9 +24,31 @@ class TestAddressing:
         assert len(regions) == 16
         assert all(state.address.array_index == 1 for state in regions)
 
+    def test_regions_of_array_in_address_order(self, fabric):
+        # The per-array index built at construction lists the same state
+        # objects, in the same order, as sorting every region would.
+        for array_index in range(fabric.n_arrays):
+            expected = [
+                fabric.region(address)
+                for address in fabric.all_addresses()
+                if address.array_index == array_index
+            ]
+            regions = fabric.regions_of_array(array_index)
+            assert [id(state) for state in regions] == [id(state) for state in expected]
+
+    def test_regions_of_array_returns_a_copy(self, fabric):
+        regions = fabric.regions_of_array(0)
+        regions.clear()
+        regions = fabric.regions_of_array(1)
+        regions.reverse()
+        assert len(fabric.regions_of_array(0)) == 16
+        assert fabric.regions_of_array(1)[0].address == RegionAddress(1, 0, 0)
+
     def test_invalid_array_index(self, fabric):
         with pytest.raises(ValueError):
             fabric.regions_of_array(3)
+        with pytest.raises(ValueError):
+            fabric.effective_faults(-1)
 
     def test_unknown_region(self, fabric):
         with pytest.raises(KeyError):

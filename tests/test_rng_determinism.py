@@ -170,6 +170,21 @@ class TestSystolicArrayStreams:
         again = array.fault_rng((2, 2)).integers(0, 256, size=32, dtype=np.uint8)
         assert np.array_equal(first, again)
 
+    def test_restarted_streams_match_fresh_generators(self):
+        # Re-injection after clear_all_faults (what every ACB fault sync
+        # does) rewinds a reused generator; it must still match a freshly
+        # seeded one, and one seed at two positions stays two streams.
+        array = SystolicArray()
+        for _ in range(3):
+            array.clear_all_faults()
+            array.inject_fault((0, 1), seed=11)
+            array.inject_fault((2, 3), seed=11)
+            draws = [array.fault_rng(p).integers(0, 256, size=8, dtype=np.uint8)
+                     for p in ((0, 1), (2, 3))]
+            expected = np.random.default_rng(11).integers(0, 256, size=8, dtype=np.uint8)
+            assert np.array_equal(draws[0], expected)
+            assert np.array_equal(draws[1], expected)
+
     def test_fault_scenario_replays_on_reused_array(self):
         """The stale-stream bug: re-running a fault scenario on a reused
         array must reproduce the first run once the streams are rewound."""
