@@ -59,7 +59,6 @@ class EvolutionStrategy:
             rng=config.seed,
             accept_equal=config.accept_equal,
             fitness_cache=config.fitness_cache,
-            racing=config.racing,
             scenario=config.scenario,
         )
 

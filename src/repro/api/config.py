@@ -56,8 +56,8 @@ class _ConfigBase:
     def from_dict(cls: Type[C], data: Dict[str, Any]) -> C:
         """Rebuild a config from :meth:`to_dict` output (extra keys rejected).
 
-        Keys in ``_LEGACY_KEYS`` — the removed generation-step knobs
-        ``batched`` and ``population_batching`` of :class:`EvolutionConfig`
+        Keys in ``_LEGACY_KEYS`` — the removed knobs ``batched``,
+        ``population_batching`` and ``racing`` of :class:`EvolutionConfig`
         (and ``population_batching`` of the red-team config) — are dropped
         with one :class:`DeprecationWarning`.
         """
@@ -213,15 +213,6 @@ class EvolutionConfig(_ConfigBase):
         Value-transparent: cached values are exactly what a full
         evaluation would produce, on every backend.  Sweepable as the
         ``evolution.fitness_cache`` campaign axis.
-    racing:
-        Opt-in racing early rejection (see :mod:`repro.ea.pipeline`):
-        offspring are scored block-by-block over a deterministic row
-        partition and dropped once their partial SAE provably exceeds the
-        parent's fitness — an exact bound, so selection and the parent
-        fitness trajectory stay bit-identical to exhaustive evaluation.
-        Off by default; with both this and ``fitness_cache`` off, runs
-        are byte-identical to v1.8.0.  Sweepable as the
-        ``evolution.racing`` campaign axis.
     scenario:
         Optional fault-scenario timeline the run evolves under: the name
         of a registered scenario (``"seu-storm"``, ``"single-seu"``, ...;
@@ -266,11 +257,12 @@ class EvolutionConfig(_ConfigBase):
     target_fitness: Optional[float] = None
     accept_equal: bool = True
     fitness_cache: Optional[str] = None
-    racing: bool = False
     scenario: Union[str, Mapping[str, Any], None] = None
     options: Mapping[str, Any] = field(default_factory=dict)
 
-    _LEGACY_KEYS: ClassVar[FrozenSet[str]] = frozenset({"batched", "population_batching"})
+    _LEGACY_KEYS: ClassVar[FrozenSet[str]] = frozenset(
+        {"batched", "population_batching", "racing"}
+    )
 
     def __post_init__(self) -> None:
         if not self.strategy:

@@ -90,15 +90,6 @@ def add_common_options(
              "runs (opt-in; value-transparent — cached values are exactly "
              "what a full evaluation would produce)",
     )
-    parser.add_argument(
-        "--racing",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="reject offspring early once their partial error provably "
-             "exceeds the parent's fitness (opt-in; exact bound — selection "
-             "and fitness trajectories are bit-identical, only wall-clock "
-             "time changes)",
-    )
 
 
 def scenario_from_args(args: argparse.Namespace):

@@ -39,7 +39,7 @@ from typing import Any, Mapping, Optional
 __all__ = ["canonical_json", "content_signature", "run_signature"]
 
 #: Evolution-config knobs that are *value-transparent*: they change how
-#: fitnesses are computed (cache tiers, racing early rejection — see
+#: fitnesses are computed (the persistent cache tier — see
 #: :mod:`repro.ea.pipeline`), never what they are, so two runs differing
 #: only in these knobs produce identical artifacts and may share one
 #: dedupe entry.  Excluded from :func:`run_signature`.  The evolution
@@ -47,7 +47,7 @@ __all__ = ["canonical_json", "content_signature", "run_signature"]
 #: signatures computed while it did differ from today's: such dedupe-cache
 #: entries miss once and are recomputed (campaign resume is keyed by run
 #: id, not signature, and is unaffected).
-_VALUE_TRANSPARENT_EVOLUTION_KNOBS = frozenset({"fitness_cache", "racing"})
+_VALUE_TRANSPARENT_EVOLUTION_KNOBS = frozenset({"fitness_cache"})
 
 
 def canonical_json(payload: Any) -> str:
@@ -96,8 +96,8 @@ def run_signature(
     campaigns that resolve to the same work share the same signature,
     which is what makes cross-submission dedupe possible.  Value-transparent
     evolution knobs (:data:`_VALUE_TRANSPARENT_EVOLUTION_KNOBS`) are
-    likewise excluded: a run with the persistent fitness cache or racing
-    enabled computes the identical artifact, so it deduplicates against
+    likewise excluded: a run with the persistent fitness cache enabled
+    computes the identical artifact, so it deduplicates against
     the plain run.
     """
     evolution_dict = _as_dict(evolution)

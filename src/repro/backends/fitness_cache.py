@@ -116,10 +116,6 @@ class FitnessCache:
         self.stats.hits += 1
         return value
 
-    def peek(self, key: Hashable) -> Optional[float]:
-        """Like :meth:`get` without touching the telemetry counters."""
-        return self._entries.get(key)
-
     def put(self, key: Hashable, value: float) -> None:
         """Record the exact fitness of ``key`` (evicting oldest-first)."""
         entries = self._entries

@@ -95,9 +95,8 @@ class PlatformEvolutionResult:
     scenario_events: List[Dict] = field(default_factory=list)
     #: Fitness-pipeline telemetry summed over the run's evaluation
     #: contexts: cache ``hits``/``misses``, fault-taint ``bypasses``,
-    #: persistent-tier ``persistent_hits``/``persistent_misses``, and the
-    #: ``full_evaluations``/``partial_evaluations``/``racing_rejected``
-    #: racing counters (see :class:`repro.ea.pipeline.FitnessPipeline`).
+    #: persistent-tier ``persistent_hits``/``persistent_misses``, and
+    #: ``full_evaluations`` (see :class:`repro.ea.pipeline.FitnessPipeline`).
     #: Not part of the trajectory contract: how candidates are grouped onto
     #: contexts decides the hit/miss split, never a fitness value.
     fitness_cache_stats: Dict[str, int] = field(default_factory=dict)
@@ -122,9 +121,9 @@ class ArrayEvalContext:
 
     Every fitness request delegates to a staged
     :class:`~repro.ea.pipeline.FitnessPipeline` — the in-process cache
-    tier, the opt-in persistent tier and the opt-in racing stage.  On a faulty
-    array the pipeline bypasses every cache so each candidate consumes its
-    per-position fault draws, keeping runs byte-identical to uncached
+    tier and the opt-in persistent tier.  On a faulty array the pipeline
+    bypasses every cache so each candidate consumes its per-position
+    fault draws, keeping runs byte-identical to uncached
     evaluation; the bypasses are counted, not silent (see
     :attr:`PlatformEvolutionResult.fitness_cache_stats`).
     """
@@ -132,7 +131,7 @@ class ArrayEvalContext:
     def __init__(self, platform: EvolvableHardwarePlatform, array_index: int,
                  training_image: np.ndarray, *,
                  fitness_cache: Union[None, str, os.PathLike, PersistentFitnessCache] = None,
-                 racing: bool = False) -> None:
+                 ) -> None:
         self.platform = platform
         self.array_index = array_index
         self.acb = platform.acb(array_index)
@@ -140,9 +139,7 @@ class ArrayEvalContext:
         self.planes = extract_windows(self.training_image)
         # Function genes currently placed on the array's fabric regions.
         self.placed_functions = platform.fabric.configured_genes(array_index).astype(np.int16)
-        self.pipeline = FitnessPipeline(
-            self.acb.array, persistent=fitness_cache, racing=racing
-        )
+        self.pipeline = FitnessPipeline(self.acb.array, persistent=fitness_cache)
         self.acb.sync_faults()
 
     def retarget(self, training_image: np.ndarray) -> None:
@@ -190,10 +187,7 @@ class ArrayEvalContext:
         return self.pipeline.evaluate(self.planes, genotype, reference)
 
     def fitness_population(
-        self,
-        genotypes: Sequence[Genotype],
-        reference: np.ndarray,
-        threshold: Optional[float] = None,
+        self, genotypes: Sequence[Genotype], reference: np.ndarray
     ) -> List[float]:
         """Aggregated MAE per candidate through the staged pipeline.
 
@@ -201,13 +195,9 @@ class ArrayEvalContext:
         come out of the pipeline's backing
         :meth:`~repro.array.systolic_array.SystolicArray.evaluate_population`
         call, short-circuited by the cache tiers where the exact value is
-        already known.  ``threshold`` is the racing acceptance bar (the
-        caller's parent fitness); it only has an effect when the pipeline
-        was built with racing enabled.
+        already known.
         """
-        return self.pipeline.evaluate_population(
-            self.planes, genotypes, reference, threshold=threshold
-        )
+        return self.pipeline.evaluate_population(self.planes, genotypes, reference)
 
 
 class EvolutionDriver:
@@ -238,15 +228,6 @@ class EvolutionDriver:
         value-transparent across runs, workers and backends; fault-tainted
         evaluations never touch the cache.  With the knob off, behaviour
         is byte-identical to v1.8.0.
-    racing:
-        Opt-in exact-bound racing early rejection (see
-        :mod:`repro.ea.pipeline`): offspring on fault-free arrays are
-        evaluated over a deterministic row partition and dropped as soon
-        as their partial SAE provably exceeds the parent's fitness.
-        Selection, acceptance and the per-generation parent trajectory
-        are bit-identical to exhaustive evaluation; only the wall-clock
-        cost (and the reported lower bounds of hopeless candidates)
-        changes.  Off by default.
     scenario:
         Optional fault-scenario timeline: a
         :class:`~repro.scenarios.spec.FaultScenario`, a registered
@@ -284,7 +265,6 @@ class EvolutionDriver:
         timing_model: Optional[EvolutionTimingModel] = None,
         accept_equal: bool = True,
         fitness_cache: Union[None, str, os.PathLike, PersistentFitnessCache] = None,
-        racing: bool = False,
         scenario=None,
     ) -> None:
         if n_offspring < 1:
@@ -298,7 +278,6 @@ class EvolutionDriver:
         # One persistent-tier handle shared by every context this driver
         # creates, so concurrent lookups share a single in-memory view.
         self.fitness_cache = resolve_persistent_cache(fitness_cache)
-        self.racing = bool(racing)
         if scenario is not None:
             from repro.scenarios import resolve_scenario
 
@@ -309,13 +288,9 @@ class EvolutionDriver:
 
     # ------------------------------------------------------------------ #
     def _context(self, array_index: int, training_image: np.ndarray) -> ArrayEvalContext:
-        """An evaluation context wired to this driver's pipeline knobs."""
+        """An evaluation context wired to this driver's persistent tier."""
         return ArrayEvalContext(
-            self.platform,
-            array_index,
-            training_image,
-            fitness_cache=self.fitness_cache,
-            racing=self.racing,
+            self.platform, array_index, training_image, fitness_cache=self.fitness_cache
         )
 
     @staticmethod
@@ -408,26 +383,22 @@ class EvolutionDriver:
         contexts: Sequence[ArrayEvalContext],
         plan: Sequence[Tuple[int, MutationResult]],
         reference: np.ndarray,
-        threshold: Optional[float] = None,
     ) -> List[float]:
         """Fitness of every planned offspring, in plan order.
 
         Each array scores its share of the plan in one fused pass;
         candidates keep their plan-order position, so selection and each
-        array's fault-RNG stream follow the plan order.  ``threshold`` is
-        the racing acceptance bar (the current parent fitness).
+        array's fault-RNG stream follow the plan order.
         """
         if all(context.acb.array.n_faults == 0 for context in contexts):
             # Healthy arrays are functionally identical and fault-free
             # evaluation consumes no RNG, so the whole generation can be
             # scored as one population without perturbing any random stream.
             genotypes = [mutation.genotype for _, mutation in plan]
-            return contexts[0].fitness_population(genotypes, reference, threshold=threshold)
+            return contexts[0].fitness_population(genotypes, reference)
         return self._per_slot(
             plan,
-            lambda slot, genotypes: contexts[slot].fitness_population(
-                genotypes, reference, threshold=threshold
-            ),
+            lambda slot, genotypes: contexts[slot].fitness_population(genotypes, reference),
         )
 
     def _generation(
@@ -437,19 +408,19 @@ class EvolutionDriver:
         parent_fitness: float,
         scheduler: GenerationScheduler,
         result: PlatformEvolutionResult,
-        score: Callable[[Sequence[Tuple[int, MutationResult]], float], List[float]],
+        score: Callable[[Sequence[Tuple[int, MutationResult]]], List[float]],
     ) -> Tuple[Genotype, float]:
         """One generation step; returns the (possibly replaced) parent.
 
         Draws the offspring plan, accounts each array's placements, scores
-        the plan through ``score(plan, parent_fitness)`` and applies the
+        the plan through ``score(plan)`` and applies the
         (1+λ) acceptance rule to the first strictly-best offspring.
         """
         plan = self._generation_offspring(parent, contexts)
         offspring_counts = self._per_slot(
             plan, lambda slot, genotypes: contexts[slot].place_population(genotypes)
         )
-        fitnesses = score(plan, parent_fitness)
+        fitnesses = score(plan)
         result.n_evaluations += len(plan)
         scheduler.record_generation(offspring_counts)
         best_child, best_child_fitness = self._best_offspring(
@@ -479,8 +450,8 @@ class EvolutionDriver:
         result.n_evaluations += 1
         history: List[float] = []
 
-        def score(plan, threshold):
-            return self._evaluate_plan(contexts, plan, reference, threshold=threshold)
+        def score(plan):
+            return self._evaluate_plan(contexts, plan, reference)
 
         for _ in range(n_generations):
             self._advance_scenario(scenario_runner, result)
@@ -807,12 +778,12 @@ class CascadedEvolution(EvolutionDriver):
                 ):
                     context.retarget(stage_input)
 
-                def score(plan, threshold):
-                    return self._evaluate_plan([context], plan, reference_image, threshold)
+                def score(plan):
+                    return self._evaluate_plan([context], plan, reference_image)
             else:
                 # A merged fitness unit judges each candidate by the end of
                 # the chain, which runs through the downstream stages.
-                def score(plan, threshold):
+                def score(plan):
                     return [
                         self._stage_fitness(
                             contexts, parents, stage, m.genotype, stage_input, reference_image

@@ -50,10 +50,9 @@ class TwoLevelMutationEvolution(ParallelEvolution):
 
     The staged fitness pipeline is likewise inherited: offspring are
     evaluated through each context's :class:`~repro.ea.pipeline.FitnessPipeline`
-    with the ``fitness_cache``/``racing`` knobs and the
-    ``threshold=parent_fitness`` early-rejection bound exactly as in the
-    parent class — this subclass only changes *which* genotypes are
-    proposed, never how they are scored.
+    and its ``fitness_cache`` knob exactly as in the parent class — this
+    subclass only changes *which* genotypes are proposed, never how they
+    are scored.
     """
 
     def __init__(self, *args, low_mutation_rate: int = 1, **kwargs) -> None:

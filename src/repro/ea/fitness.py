@@ -17,8 +17,8 @@ window extraction dominating a naive per-candidate implementation; see the
 hpc-parallel guide's advice to hoist invariant work out of the hot loop),
 and both route every evaluation through the staged
 :class:`~repro.ea.pipeline.FitnessPipeline`, so the in-process cache tier
-— and, when enabled, the persistent tier and racing early rejection —
-apply uniformly to the ES and to the platform drivers built on top.
+— and, when enabled, the persistent tier — apply uniformly to the ES
+and to the platform drivers built on top.
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ class FitnessEvaluator:
         Optional persistent cross-run fitness cache: ``None`` (off), a
         directory path, or a shared
         :class:`~repro.backends.fitness_cache.PersistentFitnessCache`.
-    racing:
-        Enable exact-bound racing early rejection (see
-        :mod:`repro.ea.pipeline`).
     """
 
     def __init__(
@@ -64,7 +61,6 @@ class FitnessEvaluator:
         reference_image: np.ndarray,
         *,
         fitness_cache: Union[None, str, os.PathLike, PersistentFitnessCache] = None,
-        racing: bool = False,
     ) -> None:
         training_image = np.asarray(training_image)
         reference_image = np.asarray(reference_image)
@@ -77,7 +73,7 @@ class FitnessEvaluator:
         self.training_image = training_image
         self.reference_image = reference_image
         self._planes = extract_windows(training_image)
-        self.pipeline = FitnessPipeline(array, persistent=fitness_cache, racing=racing)
+        self.pipeline = FitnessPipeline(array, persistent=fitness_cache)
         self.n_evaluations = 0
 
     @property

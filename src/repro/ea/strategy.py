@@ -101,13 +101,8 @@ class OnePlusLambdaES:
         ``evaluate`` calls.  It must return exactly the values ``evaluate``
         would, so a run's trajectory does not depend on which of the two
         scores it.  The shipped evaluators route
-        this hook through the staged :class:`~repro.ea.pipeline.FitnessPipeline`;
-        with its racing knob enabled the hook may instead report an *exact
-        lower bound* for candidates that provably cannot be accepted —
-        selection and the accepted-parent trajectory are unaffected (the
-        bound exceeds the parent's fitness by construction), but
-        :attr:`GenerationRecord.best_fitness` then reflects the bound on
-        generations where every offspring is rejected early.
+        this hook through the staged :class:`~repro.ea.pipeline.FitnessPipeline`,
+        whose cache tiers only ever serve exact values.
     generation_hook:
         Optional hook ``generation_hook(generation)`` fired at the *start*
         of each generation, before its offspring are drawn or evaluated —

@@ -73,7 +73,6 @@ def three_stage_cascade_demo(
     seed: int = 2013,
     backend: str = "reference",
     fitness_cache: Optional[str] = None,
-    racing: bool = False,
     scenario=None,
 ) -> CascadeDemoResult:
     """Evolve and evaluate the three-stage cascade of Fig. 18."""
@@ -89,7 +88,6 @@ def three_stage_cascade_demo(
             mutation_rate=mutation_rate,
             seed=seed,
             fitness_cache=fitness_cache,
-            racing=racing,
             scenario=scenario,
             options={
                 "fitness_mode": "separate",
@@ -136,7 +134,6 @@ def _run(args) -> RunArtifact:
         seed=args.seed,
         backend=args.backend,
         fitness_cache=args.fitness_cache,
-        racing=args.racing,
         scenario=scenario_from_args(args),
     )
     rows = [{"output": "noisy input", "aggregated_MAE": result.noisy_fitness}]

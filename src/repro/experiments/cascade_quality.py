@@ -77,7 +77,7 @@ def _stage_fitnesses(platform: EvolvableHardwarePlatform, training, reference,
 
 def _evolve_base_filter(pair, run_seed, n_stages, n_generations, n_offspring,
                         mutation_rate, backend="reference", fitness_cache=None,
-                        racing=False, scenario=None):
+                        scenario=None):
     """Evolve the stage-1 circuit shared by every arrangement of one run.
 
     The same circuit is used for the "same filter in every stage"
@@ -96,7 +96,6 @@ def _evolve_base_filter(pair, run_seed, n_stages, n_generations, n_offspring,
             mutation_rate=mutation_rate,
             seed=run_seed,
             fitness_cache=fitness_cache,
-            racing=racing,
             scenario=scenario,
             options={"n_arrays": 1},
         ),
@@ -124,8 +123,7 @@ def run_cascade_arrangement(run) -> RunArtifact:
     n_offspring = int(params["n_offspring"])
     mutation_rate = int(params["mutation_rate"])
     backend = str(params.get("backend", "reference"))
-    fitness_cache = params.get("fitness_cache")
-    racing = bool(params.get("racing", False))
+    fitness_cache = run.evolution.fitness_cache
     scenario = params.get("scenario")
     pair = make_training_pair(
         "salt_pepper_denoise",
@@ -135,7 +133,7 @@ def run_cascade_arrangement(run) -> RunArtifact:
     )
     base_session, base_filter = _evolve_base_filter(
         pair, run_seed, n_stages, n_generations, n_offspring, mutation_rate, backend,
-        fitness_cache, racing, scenario,
+        fitness_cache, scenario,
     )
 
     if arrangement == "same_filter":
@@ -155,7 +153,6 @@ def run_cascade_arrangement(run) -> RunArtifact:
                 mutation_rate=mutation_rate,
                 seed=run_seed,
                 fitness_cache=fitness_cache,
-                racing=racing,
                 scenario=scenario,
                 options={
                     "fitness_mode": "separate",
@@ -186,10 +183,14 @@ def build_cascade_quality_campaign(
     seed: int = 2013,
     backend: str = "reference",
     fitness_cache: Optional[str] = None,
-    racing: bool = False,
     scenario=None,
 ) -> CampaignSpec:
-    """The Figs. 16-17 comparison as a (repetition x arrangement) campaign."""
+    """The Figs. 16-17 comparison as a (repetition x arrangement) campaign.
+
+    The persistent fitness-cache path rides in the spec's evolution config,
+    whose value-transparent knobs :func:`~repro.api.signature.run_signature`
+    ignores, so a run deduplicates against the same run without a cache.
+    """
     return CampaignSpec(
         name="cascade-quality",
         runner="cascade-arrangement",
@@ -205,12 +206,13 @@ def build_cascade_quality_campaign(
             "n_offspring": int(n_offspring),
             "mutation_rate": int(mutation_rate),
             "backend": str(backend),
-            "fitness_cache": None if fitness_cache is None else str(fitness_cache),
-            "racing": bool(racing),
             # A scenario name or inline dict rides the JSON-shipped params
             # so process-executor workers replay the same fault timeline.
             "scenario": scenario,
         },
+        evolution=EvolutionConfig(
+            fitness_cache=None if fitness_cache is None else str(fitness_cache)
+        ),
         seed=seed,
     )
 
@@ -228,7 +230,6 @@ def cascade_quality_comparison(
     max_workers: Optional[int] = None,
     backend: str = "reference",
     fitness_cache: Optional[str] = None,
-    racing: bool = False,
     scenario=None,
 ) -> List[CascadePoint]:
     """Run the three cascade arrangements and return per-stage fitness points.
@@ -248,7 +249,6 @@ def cascade_quality_comparison(
         seed=seed,
         backend=backend,
         fitness_cache=fitness_cache,
-        racing=racing,
         scenario=scenario,
     )
     campaign = run_campaign(spec, executor=executor, max_workers=max_workers)
@@ -298,7 +298,6 @@ def _run(args) -> RunArtifact:
         max_workers=args.workers,
         backend=args.backend,
         fitness_cache=args.fitness_cache,
-        racing=args.racing,
         scenario=scenario_from_args(args),
     )
     rows = [

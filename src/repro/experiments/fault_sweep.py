@@ -172,7 +172,6 @@ def systematic_fault_analysis(
     max_workers: Optional[int] = None,
     backend: str = "reference",
     fitness_cache: Optional[str] = None,
-    racing: bool = False,
     scenario=None,
 ) -> List[FaultSweepSummary]:
     """Evolve a working circuit, then fault-sweep every PE of every array.
@@ -195,7 +194,6 @@ def systematic_fault_analysis(
             mutation_rate=mutation_rate,
             seed=seed,
             fitness_cache=fitness_cache,
-            racing=racing,
             scenario=scenario,
         ),
     )
@@ -233,7 +231,6 @@ def _run(args) -> RunArtifact:
         max_workers=args.workers,
         backend=args.backend,
         fitness_cache=args.fitness_cache,
-        racing=args.racing,
         scenario=scenario_from_args(args),
     )
     rows = [

@@ -63,7 +63,6 @@ def imitation_seed_comparison(
     seed: int = 2013,
     backend: str = "reference",
     fitness_cache: Optional[str] = None,
-    racing: bool = False,
     scenario=None,
 ) -> List[ImitationPoint]:
     """Compare inherited-vs-random seeding of the imitation recovery."""
@@ -83,7 +82,6 @@ def imitation_seed_comparison(
                     mutation_rate=mutation_rate,
                     seed=run_seed,
                     fitness_cache=fitness_cache,
-                    racing=racing,
                     scenario=scenario,
                 ),
             )
@@ -116,7 +114,6 @@ def imitation_seed_comparison(
                     mutation_rate=mutation_rate,
                     seed=run_seed + 1,
                     fitness_cache=fitness_cache,
-                    racing=racing,
                 ),
             )
             result = recovery_session.evolve(
@@ -154,7 +151,6 @@ def _run(args) -> RunArtifact:
         seed=args.seed,
         backend=args.backend,
         fitness_cache=args.fitness_cache,
-        racing=args.racing,
         scenario=scenario_from_args(args),
     )
     rows = [

@@ -62,7 +62,6 @@ def new_ea_comparison(
     seed: int = 2013,
     backend: str = "reference",
     fitness_cache: Optional[str] = None,
-    racing: bool = False,
     scenario=None,
 ) -> List[NewEaPoint]:
     """Run the classic-vs-new-EA comparison and return one point per cell."""
@@ -89,7 +88,6 @@ def new_ea_comparison(
                         mutation_rate=k,
                         seed=run_seed,
                         fitness_cache=fitness_cache,
-                        racing=racing,
                         scenario=scenario,
                         options={} if strategy == "classic" else {"low_mutation_rate": 1},
                     ),
@@ -127,7 +125,6 @@ def _run(args) -> RunArtifact:
         seed=args.seed,
         backend=args.backend,
         fitness_cache=args.fitness_cache,
-        racing=args.racing,
         scenario=scenario_from_args(args),
     )
     rows = [

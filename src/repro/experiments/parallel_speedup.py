@@ -141,7 +141,6 @@ def build_measured_speedup_campaign(
     seed: int = 2013,
     backend: str = "reference",
     fitness_cache: Optional[str] = None,
-    racing: bool = False,
     scenario=None,
 ) -> CampaignSpec:
     """The Fig. 12/13 measured sweep as a declarative campaign.
@@ -161,7 +160,6 @@ def build_measured_speedup_campaign(
             n_offspring=n_offspring,
             seed=seed,
             fitness_cache=fitness_cache,
-            racing=racing,
             scenario=scenario,
         ),
         task=TaskSpec(
@@ -191,7 +189,6 @@ def measured_speedup_sweep(
     max_workers: Optional[int] = None,
     backend: str = "reference",
     fitness_cache: Optional[str] = None,
-    racing: bool = False,
     scenario=None,
 ) -> List[SpeedupPoint]:
     """Small-scale measured sweep: real evolution runs, platform time from the scheduler.
@@ -215,7 +212,6 @@ def measured_speedup_sweep(
         seed=seed,
         backend=backend,
         fitness_cache=fitness_cache,
-        racing=racing,
         scenario=scenario,
     )
     campaign = run_campaign(spec, executor=executor, max_workers=max_workers)
@@ -264,7 +260,6 @@ def _run(args) -> RunArtifact:
             max_workers=args.workers,
             backend=args.backend,
             fitness_cache=args.fitness_cache,
-            racing=args.racing,
             scenario=scenario_from_args(args),
         )
         rows = [

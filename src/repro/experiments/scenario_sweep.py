@@ -177,7 +177,6 @@ def build_scenario_sweep_campaign(
     seed: int = 2013,
     backend: str = "reference",
     fitness_cache: Optional[str] = None,
-    racing: bool = False,
 ) -> CampaignSpec:
     """One campaign run per (scenario, repetition), sweeping ``evolution.scenario``.
 
@@ -202,7 +201,6 @@ def build_scenario_sweep_campaign(
             mutation_rate=mutation_rate,
             seed=None if replicated else seed,
             fitness_cache=fitness_cache,
-            racing=racing,
         ),
         task=TaskSpec(
             task="salt_pepper_denoise",
@@ -237,7 +235,6 @@ def scenario_lifecycle_sweep(
     store=None,
     backend: str = "reference",
     fitness_cache: Optional[str] = None,
-    racing: bool = False,
 ) -> List[Dict[str, Any]]:
     """Run the sweep; one summary row per (scenario, repetition)."""
     spec = build_scenario_sweep_campaign(
@@ -250,7 +247,6 @@ def scenario_lifecycle_sweep(
         seed=seed,
         backend=backend,
         fitness_cache=fitness_cache,
-        racing=racing,
     )
     campaign = run_campaign(spec, executor=executor, max_workers=max_workers, store=store)
     rows: List[Dict[str, Any]] = []
@@ -301,7 +297,6 @@ def _run(args) -> RunArtifact:
         store=args.store,
         backend=args.backend,
         fitness_cache=args.fitness_cache,
-        racing=args.racing,
     )
     return RunArtifact(
         kind="scenario-sweep",

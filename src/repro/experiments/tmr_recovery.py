@@ -86,7 +86,6 @@ def tmr_fault_recovery_trace(
     seed: int = 2013,
     backend: str = "reference",
     fitness_cache: Optional[str] = None,
-    racing: bool = False,
     scenario=None,
 ) -> TmrRecoveryResult:
     """Run the complete Fig. 20 scenario and return its trace.
@@ -110,7 +109,6 @@ def tmr_fault_recovery_trace(
             mutation_rate=mutation_rate,
             seed=seed,
             fitness_cache=fitness_cache,
-            racing=racing,
             scenario=scenario,
         ),
     )
@@ -224,7 +222,6 @@ def _run(args) -> RunArtifact:
         seed=args.seed,
         backend=args.backend,
         fitness_cache=args.fitness_cache,
-        racing=args.racing,
         scenario=scenario_from_args(args),
     )
     rows = [

@@ -94,7 +94,6 @@ def build_spec_from_args(args: argparse.Namespace) -> CampaignSpec:
             n_generations=args.generations,
             seed=args.seed,
             fitness_cache=args.fitness_cache,
-            racing=args.racing,
         ),
         scenario=scenario,
         task=TaskSpec(image_side=args.image_side, seed=args.seed),
@@ -164,14 +163,6 @@ def _configure(parser: argparse.ArgumentParser) -> None:
         help="persistent cross-run fitness cache of the base evolution "
              "config (value-transparent; sweepable as an "
              "'evolution.fitness_cache' axis too)",
-    )
-    parser.add_argument(
-        "--racing",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="racing early rejection of the base evolution config "
-             "(exact bound, bit-identical trajectories; sweepable as an "
-             "'evolution.racing' axis too)",
     )
 
 

@@ -59,7 +59,7 @@ class TestRoundTrip:
 
     def test_removed_generation_knobs_still_load(self):
         # An EvolutionConfig JSON as serialised while the config still had
-        # the ``batched``/``population_batching`` knobs.
+        # the ``batched``/``population_batching``/``racing`` knobs.
         legacy = (
             '{"strategy": "two_level", "n_generations": 50, "n_offspring": 9, '
             '"mutation_rate": 3, "seed": 4, "target_fitness": null, '
@@ -70,10 +70,11 @@ class TestRoundTrip:
             warnings.simplefilter("always")
             config = EvolutionConfig.from_json(legacy)
         assert [w.category for w in caught] == [DeprecationWarning]
-        assert "batched, population_batching" in str(caught[0].message)
+        assert "batched, population_batching, racing" in str(caught[0].message)
         assert config == EvolutionConfig(strategy="two_level", n_generations=50, seed=4)
         assert "batched" not in config.to_dict()
         assert "population_batching" not in config.to_dict()
+        assert "racing" not in config.to_dict()
 
     def test_removed_red_team_knob_still_loads(self):
         from repro.scenarios.frozen import FROZEN_PROVENANCE, FROZEN_SCENARIOS

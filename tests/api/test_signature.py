@@ -1,10 +1,11 @@
 """Content-addressed signatures: canonical JSON, configs, run specs."""
 
 import json
+import warnings
 
 from repro.api.config import EvolutionConfig, PlatformConfig, TaskSpec
 from repro.api.signature import canonical_json, content_signature, run_signature
-from repro.runtime.campaign import CampaignSpec
+from repro.runtime.campaign import CampaignSpec, RunSpec
 
 
 class TestCanonicalJson:
@@ -122,13 +123,19 @@ class TestRunSpecSignature:
         assert run.signature() == content_signature(payload)
 
     def test_signature_ignores_value_transparent_knobs(self):
-        """Racing / fitness-cache variants of one run share a signature."""
+        """A run stored with the removed ``racing`` knob and a fitness-cache
+        path loads with one warning and dedupes against the plain run, so
+        existing dedupe entries stay valid."""
         plain = self._spec().expand()[0]
-        knobbed = self._spec(
-            evolution=EvolutionConfig(
-                n_generations=3, seed=2, racing=True, fitness_cache="/tmp/fc"
-            )
-        ).expand()[0]
+        stored = plain.to_dict()
+        stored["evolution"] = {
+            **stored["evolution"], "racing": True, "fitness_cache": "fcache-dir",
+        }
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            knobbed = RunSpec.from_json(json.dumps(stored))
+        assert [w.category for w in caught] == [DeprecationWarning]
+        assert knobbed.evolution.fitness_cache == "fcache-dir"
         assert plain.signature() == knobbed.signature()
 
     def test_doctest_examples_stay_valid(self):

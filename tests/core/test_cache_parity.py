@@ -1,14 +1,13 @@
-"""Bit-parity of the racing and persistent-cache evaluation knobs.
+"""Bit-parity of the persistent fitness-cache knob.
 
-Both pipeline knobs are *value-transparent*: racing rejects only
-candidates whose exact partial-SAE lower bound proves they can neither
-beat nor tie the parent, and cache tiers only ever serve values a full
-evaluation produced.  For fixed seeds, every driver must therefore
-produce byte-identical results — same best genotypes, same parent-fitness
-traces, same reconfiguration counts — with the knobs on or off, on every
-backend, with and without faults.  This suite pins that contract at the
-driver and session level; ``tests/ea/test_pipeline.py`` covers the
-stage-by-stage mechanics and ``tests/property/`` the randomised sweep.
+The cache tiers only ever serve values a full evaluation produced, so the
+``fitness_cache`` knob is *value-transparent*: for fixed seeds every
+driver must produce byte-identical results — same best genotypes, same
+parent-fitness traces, same reconfiguration counts — with the persistent
+tier off, cold or warm, on every backend, with and without faults.  This
+suite pins that contract at the driver and session level;
+``tests/ea/test_pipeline.py`` covers the stage-by-stage mechanics and
+``tests/property/`` the randomised sweep.
 """
 
 import json
@@ -16,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.api.config import EvolutionConfig, PlatformConfig
+from repro.api.config import EvolutionConfig
 from repro.api.session import EvolutionSession
 from repro.array.genotype import Genotype
 from repro.core.evolution import (
@@ -64,65 +63,68 @@ def pair():
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("faults", FAULTS)
-class TestRacingDriverParity:
-    def _kwargs(self, backend, faults, racing, **extra):
+class TestCacheDriverParity:
+    """Every driver: the plain run equals a cold and a warm cached run."""
+
+    def _assert_cache_transparent(self, run, tmp_path):
+        plain = run(None)
+        root = str(tmp_path / "fcache")
+        assert_results_equal(plain, run(root))  # cold: fills the tier
+        assert_results_equal(plain, run(root))  # warm: serves from it
+
+    def _kwargs(self, backend, faults, fitness_cache):
         return dict(
             platform=make_platform(backend, faults),
             n_offspring=9,
             mutation_rate=3,
             rng=11,
-            racing=racing,
-            **extra,
+            fitness_cache=fitness_cache,
         )
 
-    def test_parallel(self, backend, faults, pair):
-        a = ParallelEvolution(**self._kwargs(backend, faults, False)).run(
-            pair.training, pair.reference, n_generations=12
+    def test_parallel(self, backend, faults, pair, tmp_path):
+        self._assert_cache_transparent(
+            lambda cache: ParallelEvolution(**self._kwargs(backend, faults, cache)).run(
+                pair.training, pair.reference, n_generations=12
+            ),
+            tmp_path,
         )
-        b = ParallelEvolution(**self._kwargs(backend, faults, True)).run(
-            pair.training, pair.reference, n_generations=12
-        )
-        assert_results_equal(a, b)
 
-    def test_two_level(self, backend, faults, pair):
-        a = TwoLevelMutationEvolution(**self._kwargs(backend, faults, False)).run(
-            pair.training, pair.reference, n_generations=12
+    def test_two_level(self, backend, faults, pair, tmp_path):
+        self._assert_cache_transparent(
+            lambda cache: TwoLevelMutationEvolution(
+                **self._kwargs(backend, faults, cache)
+            ).run(pair.training, pair.reference, n_generations=12),
+            tmp_path,
         )
-        b = TwoLevelMutationEvolution(**self._kwargs(backend, faults, True)).run(
-            pair.training, pair.reference, n_generations=12
-        )
-        assert_results_equal(a, b)
 
-    def test_independent(self, backend, faults, pair):
+    def test_independent(self, backend, faults, pair, tmp_path):
         tasks = {index: (pair.training, pair.reference) for index in range(3)}
-        a = IndependentEvolution(**self._kwargs(backend, faults, False)).run(
-            tasks, n_generations=6
+        self._assert_cache_transparent(
+            lambda cache: IndependentEvolution(**self._kwargs(backend, faults, cache)).run(
+                tasks, n_generations=6
+            ),
+            tmp_path,
         )
-        b = IndependentEvolution(**self._kwargs(backend, faults, True)).run(
-            tasks, n_generations=6
-        )
-        assert_results_equal(a, b)
 
-    def test_cascaded(self, backend, faults, pair):
-        a = CascadedEvolution(**self._kwargs(backend, faults, False)).run(
-            pair.training, pair.reference, n_generations=5
+    def test_cascaded(self, backend, faults, pair, tmp_path):
+        self._assert_cache_transparent(
+            lambda cache: CascadedEvolution(**self._kwargs(backend, faults, cache)).run(
+                pair.training, pair.reference, n_generations=5
+            ),
+            tmp_path,
         )
-        b = CascadedEvolution(**self._kwargs(backend, faults, True)).run(
-            pair.training, pair.reference, n_generations=5
-        )
-        assert_results_equal(a, b)
 
-    def test_imitation(self, backend, faults, pair):
-        def run(racing):
+    def test_imitation(self, backend, faults, pair, tmp_path):
+        def run(cache):
             platform = make_platform(backend, faults)
             master = Genotype.random(platform.spec, np.random.default_rng(21))
             platform.configure_array(1, master)
             driver = ImitationEvolution(
-                platform, n_offspring=9, mutation_rate=3, rng=11, racing=racing
+                platform, n_offspring=9, mutation_rate=3, rng=11, fitness_cache=cache
             )
             return driver.run(0, 1, pair.training, n_generations=8)
 
-        assert_results_equal(run(False), run(True))
+        self._assert_cache_transparent(run, tmp_path)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -172,23 +174,22 @@ class TestPersistentCacheDriverParity:
 
 
 # --------------------------------------------------------------------------- #
-# Session level: serialised artifacts byte-identical across all knob settings
+# Session level: serialised artifacts byte-identical across cache states
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_session_artifacts_byte_identical_across_knobs(backend, pair, tmp_path):
+def test_session_artifacts_byte_identical_across_cache_states(backend, pair, tmp_path):
     """The acceptance-criterion form: for fixed seeds the serialised run
-    results with racing and/or the persistent cache enabled are
-    byte-identical to the plain run — the both-knobs-off path being the
-    v1.8.0 evaluation behaviour the determinism gate pins."""
+    results with the persistent cache cold or warm are byte-identical to
+    the plain run — the cache-off path being the v1.8.0 evaluation
+    behaviour the determinism gate pins."""
 
-    def run(racing, fitness_cache):
+    def run(fitness_cache):
         session = EvolutionSession(
             make_platform(backend, "healthy"),
             EvolutionConfig(
                 strategy="parallel",
                 n_generations=10,
                 seed=11,
-                racing=racing,
                 fitness_cache=fitness_cache,
             ),
         )
@@ -196,7 +197,6 @@ def test_session_artifacts_byte_identical_across_knobs(backend, pair, tmp_path):
         return json.dumps(artifact.results, sort_keys=True)
 
     root = str(tmp_path / "fcache")
-    baseline = run(False, None)
-    assert run(True, None) == baseline
-    assert run(False, root) == baseline
-    assert run(True, root) == baseline  # warm cache + racing combined
+    baseline = run(None)
+    assert run(root) == baseline  # cold
+    assert run(root) == baseline  # warm

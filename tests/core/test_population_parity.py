@@ -219,7 +219,7 @@ class TestEvalContext:
 # --------------------------------------------------------------------------- #
 _STAT_KEYS = (
     "hits", "misses", "bypasses", "persistent_hits", "persistent_misses",
-    "full_evaluations", "partial_evaluations", "racing_rejected",
+    "full_evaluations",
 )
 
 
@@ -245,10 +245,9 @@ class TestFitnessCacheTelemetry:
         assert all(stats[key] >= 0 for key in _STAT_KEYS)
         assert stats["misses"] > 0
         assert stats["bypasses"] == 0
-        # Without persistent tier or racing, every miss is a full evaluation.
+        # Without the persistent tier, every miss is a full evaluation.
         assert stats["full_evaluations"] == stats["misses"]
         assert stats["persistent_hits"] == stats["persistent_misses"] == 0
-        assert stats["partial_evaluations"] == stats["racing_rejected"] == 0
 
     def test_faulty_run_counts_bypasses(self, backend, pair):
         stats = self._run(backend, "faulty", pair).fitness_cache_stats

@@ -2,12 +2,10 @@
 
 Each stage in isolation: the fault gate, the in-process cache tier, the
 persistent cross-run tier (including its cross-backend roundtrip, prune
-and verify), racing early rejection (exactness of bounds and survivor
-totals), and the scope/invalidation semantics everything hangs off.
+and verify), and the scope/invalidation semantics everything hangs off.
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -92,12 +90,10 @@ class TestFaultGate:
             array.inject_fault((1, 1), seed=5)
             return array
 
-        pipeline = FitnessPipeline(build(), racing=True)
+        pipeline = FitnessPipeline(build())
         twin = build()
         for _ in range(2):  # repeated rounds must consume identical draws
-            values = pipeline.evaluate_population(
-                planes, genotypes, reference, threshold=0.0
-            )
+            values = pipeline.evaluate_population(planes, genotypes, reference)
             expected = [
                 sae(twin.process_planes(planes, genotype), reference)
                 for genotype in genotypes
@@ -106,7 +102,6 @@ class TestFaultGate:
         stats = pipeline.stats()
         assert stats["bypasses"] == 2 * len(genotypes)
         assert stats["hits"] == 0 and stats["misses"] == 0
-        assert stats["racing_rejected"] == 0  # racing never engages on faults
 
 
 # --------------------------------------------------------------------------- #
@@ -193,97 +188,6 @@ class TestPersistentTier:
 
 
 # --------------------------------------------------------------------------- #
-# Racing early rejection
-# --------------------------------------------------------------------------- #
-class TestRacing:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_bounds_are_exact_and_selection_preserved(self, backend, workload):
-        planes, _, _ = workload
-        # Reference == the input image makes identity the perfect parent
-        # (SAE 0), so random offspring are provably hopeless after the
-        # first partial block.
-        rng = np.random.default_rng(23)
-        reference = rng.integers(0, 256, size=(16, 16), dtype=np.uint8)
-        planes = extract_windows(reference)
-        genotypes = [Genotype.identity()] + [
-            Genotype.random(rng=np.random.default_rng(s)) for s in range(10)
-        ]
-        full = exact_fitnesses(planes, genotypes, reference)
-        threshold = min(full)
-        pipeline = FitnessPipeline(SystolicArray(backend=backend), racing=True)
-        values = pipeline.evaluate_population(
-            planes, genotypes, reference, threshold=threshold
-        )
-        assert pipeline.racing_rejected > 0
-        for raced, exact in zip(values, full):
-            if raced == exact:
-                continue
-            # A rejected candidate reports its partial-SAE lower bound:
-            # provably above the threshold, never above the exact value.
-            assert threshold < raced <= exact
-        # Candidates at or below the threshold keep their exact values, so
-        # selection (including accept_equal ties) is unchanged.
-        for raced, exact in zip(values, full):
-            if exact <= threshold:
-                assert raced == exact
-        assert min(values) == min(full)
-        assert values.index(min(values)) == full.index(min(full))
-
-    def test_survivor_totals_equal_full_evaluation(self, workload):
-        planes, reference, genotypes = workload
-        pipeline = FitnessPipeline(SystolicArray(backend="numpy"), racing=True)
-        # An infinite... rather: a huge threshold lets everything survive all
-        # blocks; the block-sum totals must equal the full-image SAE exactly.
-        values = pipeline.evaluate_population(
-            planes, genotypes, reference, threshold=float(2**60)
-        )
-        assert values == exact_fitnesses(planes, genotypes, reference)
-        assert pipeline.racing_rejected == 0
-        assert pipeline.full_evaluations == len(genotypes)
-
-    def test_single_evaluate_never_races(self, workload):
-        planes, reference, genotypes = workload
-        pipeline = FitnessPipeline(SystolicArray(backend="reference"), racing=True)
-        # Seed a tiny best-seen so auto-thresholding would reject if engaged.
-        pipeline.evaluate(planes, Genotype.identity(), reference)
-        for genotype in genotypes[:3]:
-            assert pipeline.evaluate(planes, genotype, reference) == \
-                exact_fitnesses(planes, [genotype], reference)[0]
-        assert pipeline.racing_rejected == 0
-
-    def test_auto_threshold_tracks_best_seen(self, workload):
-        # Reference == input image: identity scores 0, making the best-seen
-        # threshold maximally selective for the second batch.
-        reference = np.random.default_rng(23).integers(
-            0, 256, size=(16, 16), dtype=np.uint8
-        )
-        planes = extract_windows(reference)
-        genotypes = [Genotype.identity()] + [
-            Genotype.random(rng=np.random.default_rng(s)) for s in range(6)
-        ]
-        pipeline = FitnessPipeline(SystolicArray(backend="reference"), racing=True)
-        # First batch: no threshold given and nothing seen yet -> no racing.
-        pipeline.evaluate_population(planes, genotypes[:1], reference)
-        assert pipeline.partial_evaluations == 0
-        # Second batch: best-seen (the identity's fitness) becomes the bar.
-        pipeline.evaluate_population(planes, genotypes[1:], reference)
-        assert pipeline.racing_rejected > 0
-
-    def test_small_images_disable_racing(self):
-        rng = np.random.default_rng(3)
-        image = rng.integers(0, 256, size=(6, 6), dtype=np.uint8)
-        reference = rng.integers(0, 256, size=(6, 6), dtype=np.uint8)
-        planes = extract_windows(image)
-        genotypes = [Genotype.random(rng=np.random.default_rng(s)) for s in range(4)]
-        pipeline = FitnessPipeline(SystolicArray(backend="reference"), racing=True)
-        values = pipeline.evaluate_population(
-            planes, genotypes, reference, threshold=0.0
-        )
-        assert values == exact_fitnesses(planes, genotypes, reference)
-        assert pipeline.partial_evaluations == 0
-
-
-# --------------------------------------------------------------------------- #
 # Scope and invalidation semantics
 # --------------------------------------------------------------------------- #
 class TestScope:
@@ -298,13 +202,12 @@ class TestScope:
         values = pipeline.evaluate_population(planes, genotypes[:3], mutated)
         assert values == exact_fitnesses(planes, genotypes[:3], mutated)
 
-    def test_invalidate_resets_best_seen_and_entries(self, workload):
+    def test_invalidate_resets_entries(self, workload):
         planes, reference, genotypes = workload
-        pipeline = FitnessPipeline(SystolicArray(backend="reference"), racing=True)
+        pipeline = FitnessPipeline(SystolicArray(backend="reference"))
         pipeline.evaluate_population(planes, genotypes, reference)
-        assert math.isfinite(pipeline._best_seen)
+        assert len(pipeline.cache) == len(genotypes)
         pipeline.invalidate()
-        assert pipeline._best_seen == math.inf
         assert len(pipeline.cache) == 0
         values = pipeline.evaluate_population(planes, genotypes, reference)
         assert values == exact_fitnesses(planes, genotypes, reference)

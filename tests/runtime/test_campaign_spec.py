@@ -30,6 +30,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown evolution config field"):
             small_spec(grid={"evolution.does_not_exist": [1]})
 
+    def test_removed_racing_axis_rejected(self):
+        with pytest.raises(ValueError, match="unknown evolution config field"):
+            small_spec(grid={"evolution.racing": [False, True]})
+
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError, match="no values"):
             small_spec(grid={"evolution.mutation_rate": []})

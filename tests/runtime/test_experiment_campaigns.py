@@ -86,6 +86,23 @@ class TestCascadeQualityCampaign:
         assert [run.params["arrangement"] for run in runs] == list(ARRANGEMENTS) * 2
         assert [run.params["run_seed"] for run in runs] == [5, 5, 5, 36, 36, 36]
 
+    def test_cache_path_rides_the_evolution_config(self, tmp_path):
+        """A cache directory is value-transparent: it leaves every run
+        signature and point unchanged, and the runner reads it from the
+        run's evolution config."""
+        root = str(tmp_path / "fcache")
+        plain = build_cascade_quality_campaign(n_runs=1, seed=5).expand()
+        cached = build_cascade_quality_campaign(
+            n_runs=1, seed=5, fitness_cache=root
+        ).expand()
+        assert [run.signature() for run in cached] == [run.signature() for run in plain]
+        assert {run.evolution.fitness_cache for run in cached} == {root}
+        kwargs = dict(image_side=16, n_generations=3, n_runs=1, seed=5)
+        assert cascade_quality_comparison(fitness_cache=root, **kwargs) == (
+            cascade_quality_comparison(**kwargs)
+        )
+        assert any((tmp_path / "fcache").iterdir())
+
     def test_executor_choice_does_not_change_points(self):
         kwargs = dict(image_side=16, n_generations=6, n_runs=1, seed=5)
         serial = cascade_quality_comparison(**kwargs)

@@ -78,6 +78,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    @pytest.mark.parametrize("command", ["new-ea", "campaign"])
+    def test_removed_racing_flag_is_rejected(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--racing"])
+
 
 class TestSubcommands:
     def test_resources(self, capsys):
