@@ -210,7 +210,9 @@ class EvolutionDriver:
     n_offspring:
         Offspring per generation (the paper's multi-array experiments use 9).
     mutation_rate:
-        Mutation rate ``k``: genes changed per offspring.
+        Mutation rate ``k``: genes changed per offspring, in
+        ``[1, platform.spec.n_genes]`` (checked here, before any run touches
+        the platform).
     rng:
         Seed or generator for the mutation operator.
     timing_model:
@@ -269,8 +271,9 @@ class EvolutionDriver:
     ) -> None:
         if n_offspring < 1:
             raise ValueError("n_offspring must be >= 1")
-        if mutation_rate < 1:
-            raise ValueError("mutation_rate must be >= 1")
+        n_genes = platform.spec.n_genes
+        if not 1 <= mutation_rate <= n_genes:
+            raise ValueError(f"mutation_rate must be in [1, {n_genes}], got {mutation_rate}")
         self.platform = platform
         self.n_offspring = n_offspring
         self.mutation_rate = mutation_rate

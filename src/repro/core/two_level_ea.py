@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from repro.array.genotype import Genotype
 from repro.core.evolution import ParallelEvolution, ArrayEvalContext
 from repro.ea.mutation import MutationResult, population_mutator
@@ -57,8 +55,11 @@ class TwoLevelMutationEvolution(ParallelEvolution):
 
     def __init__(self, *args, low_mutation_rate: int = 1, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if low_mutation_rate < 1:
-            raise ValueError("low_mutation_rate must be >= 1")
+        n_genes = self.platform.spec.n_genes
+        if not 1 <= low_mutation_rate <= n_genes:
+            raise ValueError(
+                f"low_mutation_rate must be in [1, {n_genes}], got {low_mutation_rate}"
+            )
         self.low_mutation_rate = low_mutation_rate
 
     def _generation_offspring(
@@ -73,35 +74,17 @@ class TwoLevelMutationEvolution(ParallelEvolution):
         consecutive circuits on the same array differ by very few genes and
         the reconfiguration engine has almost nothing to rewrite.
 
-        The chained mutations make each offspring depend on the *flat gene
-        vector* of its predecessor on the same array, so the whole
-        generation is built over flat vectors through the shared
-        :class:`~repro.ea.mutation.PopulationMutator`, drawing from the
-        driver's RNG in plan order.
+        Offspring ``o`` of batch 1.. comes from offspring ``o - n_slots``,
+        so the whole generation is one ``(source, rate)`` plan handed to the
+        shared :class:`~repro.ea.mutation.PopulationMutator`, which draws it
+        from the driver's RNG in plan order as repeated
+        :func:`~repro.ea.mutation.mutate` calls would.
         """
         n_slots = len(contexts)
-        mutator = population_mutator(parent.spec)
-        parent_flat = mutator.to_flat(parent)
-        plan: List[Tuple[int, MutationResult]] = []
-        previous_flats: List[np.ndarray] = []
-
-        n_batches = -(-self.n_offspring // n_slots)
-        produced = 0
-        for batch in range(n_batches):
-            current_flats: List[np.ndarray] = []
-            for slot in range(n_slots):
-                if produced >= self.n_offspring:
-                    break
-                if batch == 0:
-                    source_flat, rate = parent_flat, self.mutation_rate
-                else:
-                    source_flat = (
-                        previous_flats[slot] if slot < len(previous_flats) else parent_flat
-                    )
-                    rate = self.low_mutation_rate
-                child_flat, mutation = mutator.mutate_flat(source_flat, rate, self.rng)
-                plan.append((slot, mutation))
-                current_flats.append(child_flat)
-                produced += 1
-            previous_flats = current_flats
-        return plan
+        plan = [
+            (-1, self.mutation_rate) if position < n_slots
+            else (position - n_slots, self.low_mutation_rate)
+            for position in range(self.n_offspring)
+        ]
+        mutations = population_mutator(parent.spec).offspring(parent, plan, self.rng)
+        return [(position % n_slots, mutation) for position, mutation in enumerate(mutations)]

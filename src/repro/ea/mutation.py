@@ -10,12 +10,19 @@ its alphabet, so every mutation is effective.
 The operator also reports which *function* genes changed, because only
 those require a partial reconfiguration — the quantity that drives
 evolution time in the intrinsic-evolution timing model.
+
+:func:`mutate` is the reference operator: one offspring per call, drawing
+its gene positions with ``rng.choice`` and each new value with
+``rng.integers``.  The drivers build a whole generation at once through
+:class:`PopulationMutator`, which draws one block of 32-bit words and
+replays NumPy's samplers over it, so its offspring and the generator's
+final state are identical to repeated :func:`mutate` calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -111,115 +118,224 @@ def mutate(
     )
 
 
+#: One ``next_uint32`` word spans ``[0, _WORD)``.
+_WORD = 1 << 32
+
+
+def _draw_words(rng: np.random.Generator, count: int) -> List[int]:
+    """The next ``count`` ``next_uint32`` words of ``rng``, as Python ints.
+
+    ``integers(0, 2**32, dtype=np.uint32)`` returns raw ``next_uint32``
+    words, the same words every bounded draw of :func:`mutate` consumes, so
+    the block can be replayed in their place.
+    """
+    return rng.integers(0, _WORD, size=count, dtype=np.uint32).tolist()
+
+
+def _redraw(words: List[int], pos: int, span: int, rng: np.random.Generator) -> Tuple[int, int]:
+    """Lemire's retry loop after a rejected word; returns ``(product, pos)``.
+
+    A rejection costs one word the block was not sized for, so each retry
+    appends one freshly drawn word to the end of the block.
+    """
+    threshold = _WORD % span
+    while True:
+        words.extend(_draw_words(rng, 1))
+        product = words[pos] * span
+        pos += 1
+        if product & 0xFFFFFFFF >= threshold:
+            return product, pos
+
+
 class PopulationMutator:
-    """Batched mutation over flat gene vectors, bit-exact against :func:`mutate`.
+    """One generation of mutations from one block of generator words.
 
-    The evolution drivers' generation step creates a whole generation of
-    offspring before evaluating any of them, which makes the per-call
-    overhead of :func:`mutate` (genotype copy, flat round-trip, per-gene
-    alphabet lookups, full validation of values that are valid by
-    construction) the dominant cost of a generation.  This helper hoists
-    every per-spec computation out of the loop and builds offspring through
-    an unvalidated constructor, while drawing from the generator with
-    *exactly the same calls in exactly the same order* as repeated
-    :func:`mutate` invocations — so a population-mutated run consumes the
-    RNG stream identically to a per-candidate run and stays byte-identical
-    (``tests/core/test_population_parity.py`` enforces this).
+    :func:`mutate` spends one ``rng.choice`` and up to ``k`` scalar
+    ``rng.integers`` calls per offspring, and each call costs microseconds
+    of argument handling.  This kernel instead draws the whole generation's
+    words with one ``rng.integers(0, 2**32, size=N, dtype=np.uint32)`` call
+    and replays NumPy's samplers over them in plain Python:
 
-    Instances are cheap and stateless apart from the precomputed tables;
-    one per :class:`~repro.array.genotype.GenotypeSpec` is cached by
-    :func:`mutate_population`.
+    * ``choice(n, k, replace=False)`` is Floyd's sampler (pick ``j`` is a
+      bounded draw on ``[0, j]``; no word for ``j == 0``) followed by a
+      Fisher–Yates shuffle of the picks for ``i = k-1 .. 1``; for
+      ``n > 10000`` and ``k > n // 50`` it is instead a tail shuffle of
+      ``arange(n)`` for ``i = n-1 .. max(n-k, 1)``;
+    * ``integers(0, a - 1)`` is one bounded draw on ``[0, a - 2]`` (no word
+      for ``a == 2``);
+    * every bounded draw is Lemire's multiply-and-reject on one
+      ``next_uint32`` word.
+
+    ``N`` is the number of words the reference calls consume when no draw
+    is rejected (a lower bound when some alphabets have at most two
+    values).  A rejection or a larger need appends exactly the missing
+    words, so the block is never over-drawn: offspring, ``mutated_indices``,
+    ``changed_pe_positions`` and the final ``bit_generator.state`` are
+    identical to repeated :func:`mutate` calls
+    (``tests/core/test_population_parity.py`` and
+    ``tests/property/test_population_properties.py`` pin this against the
+    installed NumPy).
+
+    Children are rows of one ``(λ, n_genes - 1)`` uint8 matrix holding
+    every gene but the output select (a row index, kept as an ``int``);
+    their genotypes are unvalidated views of those rows.  One mutator per
+    :class:`~repro.array.genotype.GenotypeSpec` is cached by
+    :func:`population_mutator`.
     """
 
     def __init__(self, spec: GenotypeSpec) -> None:
         self.spec = spec
         self.n_genes = spec.n_genes
-        self.n_pes = spec.n_pes
-        self.rows = spec.rows
-        self.cols = spec.cols
         #: Alphabet size per flat gene index (plain list: int indexing is hot).
         self.alphabets: List[int] = [
             spec.gene_alphabet_size(index) for index in range(spec.n_genes)
         ]
+        self._pe_positions = [divmod(index, spec.cols) for index in range(spec.n_pes)]
+        #: Genes whose new value takes no word (alphabets of at most two values).
+        self._n_wordless = sum(1 for alphabet in self.alphabets if alphabet <= 2)
+        #: Lemire rejection threshold ``2**32 mod span`` for each draw span.
+        self._thresholds = [0] + [
+            _WORD % span for span in range(1, max(self.n_genes, *self.alphabets) + 1)
+        ]
+        #: ``choice`` shuffles a tail of ``arange(n)`` for rates above this.
+        self._tail_shuffle_above = self.n_genes // 50 if self.n_genes > 10000 else self.n_genes
 
-    # ------------------------------------------------------------------ #
-    def to_flat(self, genotype: Genotype) -> np.ndarray:
-        """Flat int64 gene vector of ``genotype`` (same layout as ``Genotype.to_flat``)."""
-        flat = np.empty(self.n_genes, dtype=np.int64)
-        n_pes, rows, cols = self.n_pes, self.rows, self.cols
-        flat[:n_pes] = genotype.function_genes.reshape(-1)
-        flat[n_pes : n_pes + rows] = genotype.west_mux
-        flat[n_pes + rows : n_pes + rows + cols] = genotype.north_mux
-        flat[-1] = genotype.output_select
-        return flat
+    def _budget(self, n_mutations: int) -> int:
+        """Words one offspring consumes when no draw is rejected (a lower
+        bound when some alphabets are wordless)."""
+        n, k = self.n_genes, n_mutations
+        if k > self._tail_shuffle_above:
+            picks = n - max(n - k, 1)
+        else:
+            picks = (k - (k == n)) + (k - 1)
+        return picks + max(k - self._n_wordless, 0)
 
-    def from_flat(self, flat: np.ndarray) -> Genotype:
-        """Build a genotype from a mutation-produced flat vector.
-
-        Values coming out of :meth:`mutate_flat` are inside their alphabets
-        by construction, so the validating ``__post_init__`` round-trip of
-        ``Genotype.from_flat`` is skipped.
-        """
-        n_pes, rows, cols = self.n_pes, self.rows, self.cols
-        compact = flat.astype(np.uint8)  # one cast; the gene arrays are views of it
-        genotype = object.__new__(Genotype)
-        genotype.spec = self.spec
-        genotype.function_genes = compact[:n_pes].reshape(rows, cols)
-        genotype.west_mux = compact[n_pes : n_pes + rows]
-        genotype.north_mux = compact[n_pes + rows : n_pes + rows + cols]
-        genotype.output_select = int(flat[-1])
-        return genotype
-
-    def mutate_flat(
-        self, parent_flat: np.ndarray, n_mutations: int, rng: np.random.Generator
-    ) -> Tuple[np.ndarray, "MutationResult"]:
-        """One offspring from a parent flat vector; returns (child_flat, result).
-
-        Draws ``rng.choice`` + per-gene ``rng.integers`` exactly as
-        :func:`mutate` does, so both paths consume the same stream.
-        """
-        if not 1 <= n_mutations <= self.n_genes:
-            raise ValueError(
-                f"n_mutations must be in [1, {self.n_genes}], got {n_mutations}"
-            )
-        flat = parent_flat.copy()
-        indices = rng.choice(self.n_genes, size=n_mutations, replace=False)
-        mutated = indices.tolist()
-        mutated.sort()
-        changed_pe_positions: List[Tuple[int, int]] = []
-        alphabets = self.alphabets
-        n_pes, cols = self.n_pes, self.cols
-        for index in mutated:
-            alphabet = alphabets[index]
-            if alphabet <= 1:
-                continue  # degenerate alphabet (1x1 arrays): nothing to change
-            current = int(flat[index])
-            new_value = int(rng.integers(0, alphabet - 1))
-            if new_value >= current:
-                new_value += 1
-            flat[index] = new_value
-            if index < n_pes:
-                changed_pe_positions.append((index // cols, index % cols))
-        result = MutationResult(
-            genotype=self.from_flat(flat),
-            mutated_indices=mutated,
-            changed_pe_positions=changed_pe_positions,
-        )
-        return flat, result
+    def _tail_shuffle(
+        self, n_mutations: int, words: List[int], pos: int, rng: np.random.Generator
+    ) -> Tuple[List[int], int]:
+        """``choice``'s large-population branch: shuffle the tail of ``arange(n)``."""
+        n, thresholds = self.n_genes, self._thresholds
+        genes = list(range(n))
+        for i in range(n - 1, max(n - n_mutations, 1) - 1, -1):
+            product = words[pos] * (i + 1)
+            pos += 1
+            if product & 0xFFFFFFFF < thresholds[i + 1]:
+                product, pos = _redraw(words, pos, i + 1, rng)
+            j = product >> 32
+            genes[i], genes[j] = genes[j], genes[i]
+        return genes[n - n_mutations :], pos
 
     def offspring(
         self,
         parent: Genotype,
-        n_mutations: int,
+        plan: Sequence[Tuple[int, int]],
         rng: np.random.Generator,
-        n_offspring: int,
     ) -> List["MutationResult"]:
-        """``n_offspring`` independent mutations of ``parent``, in draw order."""
-        parent_flat = self.to_flat(parent)
-        return [
-            self.mutate_flat(parent_flat, n_mutations, rng)[1]
-            for _ in range(n_offspring)
-        ]
+        """Mutate one generation, bit-exact against repeated :func:`mutate`.
+
+        ``plan`` holds one ``(source, rate)`` pair per offspring, in draw
+        order: ``source`` is ``-1`` for ``parent`` or the plan index of an
+        earlier offspring, and ``rate`` is that offspring's ``k``.  Offspring
+        ``o`` equals ``mutate(<source genotype>, rate, rng)`` called in plan
+        order, and ``rng`` ends in the same state.
+        """
+        n = self.n_genes
+        n_words = 0
+        for position, (source, rate) in enumerate(plan):
+            if not 1 <= rate <= n:
+                raise ValueError(f"n_mutations must be in [1, {n}], got {rate}")
+            if not -1 <= source < position:
+                raise ValueError(
+                    f"offspring {position} must come from the parent (-1) or an "
+                    f"earlier offspring, got source {source}"
+                )
+            n_words += self._budget(rate)
+        spec = self.spec
+        n_pes, rows, width = spec.n_pes, spec.rows, n - 1
+        # Every gene but the output select (a row index, which may exceed a
+        # byte) as one byte string per child.
+        parent_genes = bytearray(
+            np.concatenate((parent.function_genes.reshape(-1), parent.west_mux, parent.north_mux))
+        )
+        parent_output = int(parent.output_select)
+
+        alphabets, thresholds = self.alphabets, self._thresholds
+        pe_positions, n_wordless = self._pe_positions, self._n_wordless
+        tail_shuffle_above = self._tail_shuffle_above
+        words = _draw_words(rng, n_words)
+        pos = 0
+        children: List[bytearray] = []
+        outputs: List[int] = []
+        changes: List[Tuple[List[int], List[Tuple[int, int]]]] = []
+        for source, k in plan:
+            if k > tail_shuffle_above:
+                picks, pos = self._tail_shuffle(k, words, pos, rng)
+            else:
+                # Floyd's sampler: pick j is uniform on [0, j] (no word for
+                # j == 0); a pick already taken is replaced by j.
+                picks = [0] if k == n else []
+                for j in range(max(n - k, 1), n):
+                    product = words[pos] * (j + 1)
+                    pos += 1
+                    if product & 0xFFFFFFFF < thresholds[j + 1]:
+                        product, pos = _redraw(words, pos, j + 1, rng)
+                    value = product >> 32
+                    picks.append(j if value in picks else value)
+                # choice() then shuffles the picks; mutate() sorts them, so
+                # only the words the shuffle consumes matter here.
+                for span in range(k, 1, -1):
+                    product = words[pos] * span
+                    pos += 1
+                    if product & 0xFFFFFFFF < thresholds[span]:
+                        product, pos = _redraw(words, pos, span, rng)
+            picks.sort()
+
+            if n_wordless:
+                missing = sum(alphabets[index] > 2 for index in picks) - max(k - n_wordless, 0)
+                if missing:
+                    words.extend(_draw_words(rng, missing))
+            if source < 0:
+                genes, output = parent_genes[:], parent_output
+            else:
+                genes, output = children[source][:], outputs[source]
+            changed_pe_positions: List[Tuple[int, int]] = []
+            for index in picks:
+                alphabet = alphabets[index]
+                if alphabet <= 1:
+                    continue  # degenerate alphabet (1x1 arrays): nothing to change
+                value = 0
+                if alphabet > 2:
+                    product = words[pos] * (alphabet - 1)
+                    pos += 1
+                    if product & 0xFFFFFFFF < thresholds[alphabet - 1]:
+                        product, pos = _redraw(words, pos, alphabet - 1, rng)
+                    value = product >> 32
+                # Draw a *different* value so every mutation is effective.
+                if index < width:
+                    genes[index] = value + (value >= genes[index])
+                    if index < n_pes:
+                        changed_pe_positions.append(pe_positions[index])
+                else:
+                    output = value + (value >= output)
+            children.append(genes)
+            outputs.append(output)
+            changes.append((picks, changed_pe_positions))
+
+        matrix = np.frombuffer(bytearray().join(children), dtype=np.uint8)
+        matrix = matrix.reshape(len(children), width)
+        functions = matrix[:, :n_pes].reshape(len(children), rows, spec.cols)
+        west = matrix[:, n_pes : n_pes + rows]
+        north = matrix[:, n_pes + rows :]
+        results: List[MutationResult] = []
+        for row, (picks, changed_pe_positions) in enumerate(changes):
+            genotype = object.__new__(Genotype)
+            genotype.spec = spec
+            genotype.function_genes = functions[row]
+            genotype.west_mux = west[row]
+            genotype.north_mux = north[row]
+            genotype.output_select = outputs[row]
+            results.append(MutationResult(genotype, picks, changed_pe_positions))
+        return results
 
 
 #: One mutator per genotype spec (specs are tiny frozen dataclasses).
@@ -245,12 +361,14 @@ def mutate_population(
     Returns the same :class:`MutationResult` objects (same genotypes, same
     ``mutated_indices``/``changed_pe_positions``, same RNG stream
     consumption) as ``[mutate(parent, n_mutations, rng) for _ in
-    range(n_offspring)]``, with the per-call genotype plumbing hoisted out
-    of the loop.  This is the offspring-construction half of the
-    drivers' generation step.
+    range(n_offspring)]``, drawn from one block of generator words by
+    :class:`PopulationMutator`.  This is the offspring-construction half of
+    the drivers' generation step.
     """
     if n_offspring < 1:
         raise ValueError(f"n_offspring must be >= 1, got {n_offspring}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    return population_mutator(parent.spec).offspring(parent, n_mutations, rng, n_offspring)
+    return population_mutator(parent.spec).offspring(
+        parent, [(-1, n_mutations)] * n_offspring, rng
+    )

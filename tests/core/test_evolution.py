@@ -12,6 +12,7 @@ from repro.core.evolution import (
 )
 from repro.core.modes import CascadeFitnessMode, CascadeSchedule
 from repro.core.platform import EvolvableHardwarePlatform
+from repro.core.two_level_ea import TwoLevelMutationEvolution
 from repro.imaging.metrics import sae
 
 
@@ -212,6 +213,36 @@ class TestImitationEvolution:
         driver.run(apprentice_index=2, master_index=0, input_image=medium_image,
                    n_generations=2)
         assert not platform.acb(2).bypassed
+
+    def test_out_of_range_rate_rejected_before_any_bypass(
+        self, platform, medium_image, rng
+    ):
+        """A rate above the gene count used to fail only in the first
+        generation's mutation, after ``run`` had bypassed the apprentice."""
+        platform.configure_all(Genotype.random(platform.spec, rng))
+        n_genes = platform.spec.n_genes
+        for make in (
+            lambda: ImitationEvolution(platform, mutation_rate=n_genes + 1, rng=0),
+            lambda: TwoLevelMutationEvolution(
+                platform, mutation_rate=n_genes + 1, rng=0
+            ),
+            lambda: TwoLevelMutationEvolution(
+                platform, mutation_rate=1, low_mutation_rate=n_genes + 1, rng=0
+            ),
+            lambda: TwoLevelMutationEvolution(
+                platform, mutation_rate=1, low_mutation_rate=0, rng=0
+            ),
+        ):
+            with pytest.raises(ValueError, match="mutation_rate must be in"):
+                make()
+        assert [platform.acb(i).bypassed for i in range(platform.n_arrays)] == [
+            False
+        ] * platform.n_arrays
+        # The top of the range is legal: every gene changes.
+        driver = ImitationEvolution(platform, n_offspring=2, mutation_rate=n_genes, rng=0)
+        driver.run(apprentice_index=1, master_index=0, input_image=medium_image,
+                   n_generations=1)
+        assert not platform.acb(1).bypassed
 
     def test_same_array_rejected(self, platform, medium_image):
         driver = ImitationEvolution(platform, rng=0)

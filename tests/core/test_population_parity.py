@@ -1,7 +1,9 @@
 """Bit-parity of the generation step's fast layers against their references.
 
 Each fast entry point of the drivers' generation step —
-``mutate_population`` offspring construction, vectorised placement
+``mutate_population`` offspring construction (one block of generator
+words replaying NumPy's samplers, compared on the full generator state),
+vectorised placement
 accounting and the backend's fused ``evaluate_population`` — must be
 *byte-identical* to the per-candidate function it replaces for fixed
 seeds: same fitness floats, same genotypes, same reconfiguration counts,
@@ -12,14 +14,14 @@ same fault-RNG stream consumption.  Whole-run trajectories are pinned by
 import numpy as np
 import pytest
 
-from repro.array.genotype import Genotype
+from repro.array.genotype import Genotype, GenotypeSpec
 from repro.array.systolic_array import SystolicArray
 from repro.array.window import extract_windows
 from repro.core.evolution import ArrayEvalContext, ParallelEvolution
 from repro.core.platform import EvolvableHardwarePlatform
 from repro.core.two_level_ea import TwoLevelMutationEvolution
 from repro.ea.fitness import FitnessEvaluator
-from repro.ea.mutation import mutate, mutate_population
+from repro.ea.mutation import mutate, mutate_population, population_mutator
 from repro.imaging.images import make_training_pair
 from repro.imaging.metrics import sae
 
@@ -119,21 +121,158 @@ class TestEvaluatePopulation:
 
 
 # --------------------------------------------------------------------------- #
-# Offspring construction: mutate_population vs repeated mutate()
+# Offspring construction: the one-block kernel vs repeated mutate()
 # --------------------------------------------------------------------------- #
+#: The kernel replays NumPy's samplers; when an upgrade changes them, say so.
+NUMPY_DRIFT = (
+    f"the population mutator no longer reproduces the draws of NumPy "
+    f"{np.__version__}: changing the mutation draw order is a versioned "
+    "decision with re-pinned goldens, never a silent change"
+)
+BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
+
+
+def same_state(a, b) -> bool:
+    """Deep equality of two ``bit_generator.state`` dicts (MT19937 holds arrays)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[key], b[key]) for key in a)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+def twin_generators(bit_generator, seed):
+    """Two generators in one state, each holding a buffered half-word."""
+    twins = []
+    for _ in range(2):
+        rng = np.random.Generator(bit_generator(seed))
+        rng.integers(0, 7)
+        twins.append(rng)
+    return twins
+
+
+def reference_plan(parent, plan, rng):
+    """``mutate`` called once per ``(source, rate)`` entry, in plan order."""
+    results = []
+    for source, rate in plan:
+        results.append(mutate(parent if source < 0 else results[source].genotype, rate, rng))
+    return results
+
+
+def assert_same_generation(reference, batch, reference_rng, batch_rng):
+    assert len(reference) == len(batch)
+    for a, b in zip(reference, batch):
+        assert a.genotype == b.genotype, NUMPY_DRIFT
+        assert a.mutated_indices == b.mutated_indices, NUMPY_DRIFT
+        assert a.changed_pe_positions == b.changed_pe_positions, NUMPY_DRIFT
+    # Both generators must have consumed exactly the same stream.
+    assert same_state(reference_rng.bit_generator.state, batch_rng.bit_generator.state), NUMPY_DRIFT
+
+
+def two_level_plan(rate, low_rate, n_slots, n_offspring):
+    return [
+        (-1, rate) if position < n_slots else (position - n_slots, low_rate)
+        for position in range(n_offspring)
+    ]
+
+
 class TestMutatePopulation:
     def test_bit_exact_and_stream_aligned(self):
         parent = Genotype.random(rng=np.random.default_rng(8))
-        loop_rng = np.random.default_rng(42)
-        batch_rng = np.random.default_rng(42)
-        loop = [mutate(parent, 3, loop_rng) for _ in range(40)]
-        batch = mutate_population(parent, 3, batch_rng, 40)
-        for a, b in zip(loop, batch):
-            assert a.genotype == b.genotype
-            assert a.mutated_indices == b.mutated_indices
-            assert a.changed_pe_positions == b.changed_pe_positions
-        # Both generators must have consumed exactly the same stream.
-        assert loop_rng.integers(0, 1 << 30) == batch_rng.integers(0, 1 << 30)
+        for bit_generator in BIT_GENERATORS:
+            loop_rng, batch_rng = twin_generators(bit_generator, 42)
+            loop = [mutate(parent, 3, loop_rng) for _ in range(40)]
+            batch = mutate_population(parent, 3, batch_rng, 40)
+            assert_same_generation(loop, batch, loop_rng, batch_rng)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @pytest.mark.parametrize("rows", range(1, 6))
+    @pytest.mark.parametrize("cols", range(1, 6))
+    def test_every_rate_on_every_small_spec(self, bit_generator, rows, cols):
+        """k from 1 to ``n_genes`` (Floyd's wordless ``j = 0`` pick at the
+        top), including specs whose output gene draws no word."""
+        spec = GenotypeSpec(rows=rows, cols=cols)
+        parent = Genotype.random(spec, np.random.default_rng(rows * 10 + cols))
+        for rate in range(1, spec.n_genes + 1):
+            loop_rng, batch_rng = twin_generators(bit_generator, rate)
+            loop = [mutate(parent, rate, loop_rng) for _ in range(3)]
+            batch = mutate_population(parent, rate, batch_rng, 3)
+            assert_same_generation(loop, batch, loop_rng, batch_rng)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_two_level_plan_matches_mutate_chain(self, bit_generator):
+        """Chained children: each later child mutates the previous batch's
+        child on its slot at the low rate."""
+        parent = Genotype.random(rng=np.random.default_rng(9))
+        plan = two_level_plan(5, 1, 3, 10)
+        loop_rng, batch_rng = twin_generators(bit_generator, 7)
+        loop = reference_plan(parent, plan, loop_rng)
+        batch = population_mutator(parent.spec).offspring(parent, plan, batch_rng)
+        assert_same_generation(loop, batch, loop_rng, batch_rng)
+
+    def test_two_level_driver_offspring_match_mutate_chain(self):
+        platform = EvolvableHardwarePlatform(n_arrays=3, seed=5)
+        driver = TwoLevelMutationEvolution(platform, n_offspring=9, mutation_rate=3, rng=4)
+        contexts = [None] * 3  # only their count is read
+        parent = Genotype.random(rng=np.random.default_rng(2))
+        reference_rng = np.random.default_rng(4)
+        offspring = driver._generation_offspring(parent, contexts)
+        expected = reference_plan(parent, two_level_plan(3, 1, 3, 9), reference_rng)
+        assert [slot for slot, _ in offspring] == [position % 3 for position in range(9)]
+        assert_same_generation(expected, [m for _, m in offspring], reference_rng, driver.rng)
+
+    @pytest.mark.parametrize("kind, offset", [("floyd", 8), ("shuffle", 11), ("value", 13)])
+    def test_forced_lemire_rejection(self, kind, offset):
+        """A zero word rejects on every span that is not a power of two.
+
+        MT19937 tempering maps a zero key word to a zero output, so zeroing
+        the key at a chosen read position forces a rejection in the second
+        offspring's first Floyd pick (word 8 of 3 x (3 + 2 + 3)), first
+        shuffle step (word 11) or first gene value (word 13).
+        """
+        spec = GenotypeSpec()
+        budget = 3 * (3 + 2 + 3)
+        for seed in range(40):
+            parent = Genotype.random(spec, np.random.default_rng(seed))
+            rng = np.random.Generator(np.random.MT19937(seed))
+            while rng.bit_generator.state["state"]["pos"] + budget >= 624:
+                rng.integers(0, 7)  # read past the next twist: key words then map 1:1
+            state = rng.bit_generator.state
+            start = state["state"]["pos"]
+            state["state"]["key"][start + offset] = 0
+            loop_rng = np.random.Generator(np.random.MT19937())
+            batch_rng = np.random.Generator(np.random.MT19937())
+            loop_rng.bit_generator.state = batch_rng.bit_generator.state = state
+            loop = [mutate(parent, 3, loop_rng) for _ in range(3)]
+            consumed = loop_rng.bit_generator.state["state"]["pos"] - start
+            if consumed == budget + 1:  # the zero word was rejected
+                break
+        else:
+            pytest.fail(f"no seed forces a {kind} rejection; {NUMPY_DRIFT}")
+        batch = mutate_population(parent, 3, batch_rng, 3)
+        assert_same_generation(loop, batch, loop_rng, batch_rng)
+
+    def test_tail_shuffle_branch(self):
+        """Above 10000 genes and k > n // 50, ``choice`` shuffles a tail of
+        ``arange(n)`` instead of running Floyd's sampler."""
+        spec = GenotypeSpec(rows=100, cols=100)
+        assert spec.n_genes > 10000
+        parent = Genotype.random(spec, np.random.default_rng(3))
+        rate = spec.n_genes // 50 + 100
+        loop_rng, batch_rng = twin_generators(np.random.PCG64, 12)
+        loop = [mutate(parent, rate, loop_rng)]
+        batch = mutate_population(parent, rate, batch_rng, 1)
+        assert_same_generation(loop, batch, loop_rng, batch_rng)
+
+    def test_rejects_bad_plans_before_drawing(self):
+        parent = Genotype.identity()
+        mutator = population_mutator(parent.spec)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for plan in ([(-1, 1), (-1, parent.spec.n_genes + 1)], [(-1, 1), (1, 1)]):
+            with pytest.raises(ValueError):
+                mutator.offspring(parent, plan, rng)
+        assert rng.bit_generator.state == state
 
     def test_validates_arguments(self):
         parent = Genotype.identity()
