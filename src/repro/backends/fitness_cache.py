@@ -18,7 +18,13 @@ staged fitness pipeline:
   fcntl/atomic-write discipline as the campaign store
   (:mod:`repro.runtime.store` — reimplemented here, not imported, so
   the backends layer stays below the runtime layer), safe to share
-  between concurrent campaign workers.
+  between concurrent campaign workers.  The tier is *write-behind*:
+  newly computed values are staged in the process-wide index view,
+  where every lookup in the process sees them at once, and reach disk
+  in one locked, fsynced append per :meth:`PersistentFitnessCache.publish`
+  — once per driver run, before the maintenance calls, and at process
+  exit.  A crash loses only the staged values of the process that died;
+  nothing partial or wrong can reach the index.
 
 Fault-tainted evaluations embed per-call random draws and are *never*
 cached by either tier; they are counted as bypasses so the blindness the
@@ -28,10 +34,12 @@ old context cache suffered from is now visible telemetry
 
 from __future__ import annotations
 
+import atexit
 import json
 import os
 import tempfile
 import threading
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple, Union
@@ -41,7 +49,7 @@ try:  # pragma: no cover - import guard exercised implicitly per platform
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
-__all__ = ["CacheStats", "FitnessCache", "IndexView", "PersistentFitnessCache"]
+__all__ = ["CacheStats", "FitnessCache", "IndexView", "PersistentFitnessCache", "index_line"]
 
 
 class CacheStats:
@@ -193,6 +201,16 @@ def append_healed(path: Union[str, os.PathLike], text: str) -> int:
 _UNPARSEABLE = (KeyError, TypeError, ValueError)
 
 
+def index_line(key: str, value: float) -> str:
+    """One fitness index line, newline-terminated.
+
+    Byte-identical to ``json.dumps({"key": key, "fitness": value},
+    sort_keys=True) + "\n"`` for the hex keys and finite floats the tier
+    stores, without the encoder's per-call overhead.
+    """
+    return f'{{"fitness": {value!r}, "key": "{key}"}}\n'
+
+
 class IndexView:
     """Parsed, first-write-wins view of one append-only JSONL index.
 
@@ -216,10 +234,15 @@ class IndexView:
 
     ``parse`` maps one decoded JSON line to its ``(key, value)``.  Every
     ``*_locked`` method requires :attr:`lock` to be held.
+
+    :attr:`staged` holds values this process computed but has not yet
+    appended (the write-behind of :class:`PersistentFitnessCache`); readers
+    consult it after :attr:`entries`, and only a publish empties it.
     """
 
     __slots__ = (
-        "path", "lock", "entries", "offset", "_parse", "_identity", "_mtime_ns", "_last_line"
+        "path", "lock", "entries", "staged", "offset", "_parse", "_identity", "_mtime_ns",
+        "_last_line",
     )
 
     def __init__(
@@ -228,6 +251,7 @@ class IndexView:
         self.path = os.fspath(path)
         self.lock = threading.Lock()
         self.entries: Dict[str, Any] = {}
+        self.staged: Dict[str, Any] = {}
         self.offset = 0
         self._parse = parse
         self._identity: Optional[Tuple[int, int]] = None
@@ -271,10 +295,11 @@ class IndexView:
         """Append ``text`` (the index lines of ``values``) and fold it in.
 
         The caller also holds the index's file lock and has just
-        refreshed, so ``values`` are new keys and nothing but a torn
-        fragment (unparseable by construction) lies between :attr:`offset`
-        and the appended lines: the view advances to the end offset the
-        append returns without re-reading the file.
+        refreshed, so nothing but a torn fragment (unparseable by
+        construction) lies between :attr:`offset` and the appended lines:
+        the view advances to the end offset the append returns without
+        re-reading the file.  Keys of ``values`` already in the view keep
+        their first value (``text`` need not carry their lines).
         """
         end = append_healed(self.path, text)
         for key, value in values.items():
@@ -317,9 +342,14 @@ def _parse_fitness_line(entry: Any) -> Tuple[str, float]:
 #: resolved index path: every handle on one index shares one view, so a
 #: sweep's runs parse each line once instead of once per run.
 _VIEWS: Dict[str, IndexView] = {}
+#: Views holding staged values, each with a handle that can publish them.
+#: It also reaches views the registry has since evicted, so the exit hook
+#: publishes every one of them.
+_PENDING: Dict[IndexView, "PersistentFitnessCache"] = {}
 _VIEWS_LOCK = threading.Lock()
 #: Registry bound.  Creating a view first drops views whose index file is
-#: gone, then the least recently requested ones beyond this count.
+#: gone, then the least recently requested ones beyond this count; a view
+#: holding staged values is never dropped, so every handle keeps seeing them.
 _MAX_VIEWS = 4
 
 
@@ -329,10 +359,12 @@ def _shared_view(index_path: Path) -> IndexView:
     with _VIEWS_LOCK:
         view = _VIEWS.pop(key, None)
         if view is None:
-            for stale in [path for path in _VIEWS if not os.path.exists(path)]:
+            evictable = [path for path, held in _VIEWS.items() if held not in _PENDING]
+            for stale in [path for path in evictable if not os.path.exists(path)]:
+                evictable.remove(stale)
                 del _VIEWS[stale]
-            while len(_VIEWS) >= _MAX_VIEWS:
-                del _VIEWS[next(iter(_VIEWS))]
+            while len(_VIEWS) >= _MAX_VIEWS and evictable:
+                del _VIEWS[evictable.pop(0)]
             view = IndexView(key, _parse_fitness_line)
         _VIEWS[key] = view
         return view
@@ -342,16 +374,38 @@ def _forget_views_in_child() -> None:
     """Give a forked child an empty registry behind a fresh lock.
 
     A lock another parent thread held at fork time is never released in
-    the child; views are rebuilt from disk on demand.
+    the child; views are rebuilt from disk on demand.  Staged values the
+    child inherited are dropped: the parent publishes them.
     """
     global _VIEWS_LOCK
     _VIEWS_LOCK = threading.Lock()
     with _VIEWS_LOCK:
         _VIEWS.clear()
+        for view in _PENDING:
+            view.staged = {}
+        _PENDING.clear()
 
 
 if hasattr(os, "register_at_fork"):  # pragma: no cover - POSIX only
     os.register_at_fork(after_in_child=_forget_views_in_child)
+
+
+def _publish_pending_at_exit() -> None:
+    """Publish every view that still holds staged values (exit hook)."""
+    with _VIEWS_LOCK:
+        handles = list(_PENDING.values())
+    for handle in handles:
+        try:
+            handle.publish()
+        except OSError as error:
+            warnings.warn(
+                f"persistent fitness cache {handle.root}: staged values not "
+                f"published at exit ({error})",
+                RuntimeWarning,
+            )
+
+
+atexit.register(_publish_pending_at_exit)
 
 
 class PersistentFitnessCache:
@@ -369,6 +423,13 @@ class PersistentFitnessCache:
     integral SAE fitness.  Publishing is idempotent and first-write-wins:
     determinism guarantees any two publishers of one key computed the
     same value, and :meth:`verify` audits exactly that invariant.
+
+    Writes are staged (:meth:`stage`) in the shared view, which every
+    lookup in the process serves at once, and :meth:`publish` appends
+    everything staged in one locked, fsynced write.  The drivers publish
+    once at the end of each run, :meth:`summary`, :meth:`prune` and
+    :meth:`verify` publish first, and an exit hook publishes what is
+    left; a forked child drops the staged values it inherited.
 
     Thread-safe within a process; cross-process appends are serialised
     with the same advisory ``fcntl`` lock discipline as the campaign
@@ -417,48 +478,80 @@ class PersistentFitnessCache:
 
     # ------------------------------------------------------------------ #
     def lookup(self, keys: Iterable[str]) -> Dict[str, float]:
-        """The cached fitness of every known key (hits/misses counted)."""
+        """The cached fitness of every known key (hits/misses counted).
+
+        Served from the index first, then from the staged values.
+        """
         keys = list(keys)
         view = self._view
         with view.lock:
             view.refresh_locked()
             entries = view.entries
             found = {key: entries[key] for key in keys if key in entries}
+            staged = view.staged
+            if staged and len(found) < len(keys):
+                found.update((key, staged[key]) for key in keys if key in staged)
         self.stats.hits += len(found)
         self.stats.misses += len(keys) - len(found)
         return found
 
-    def publish(self, values: Mapping[str, float]) -> int:
-        """Append newly computed fitness values; returns how many were new.
+    def stage(self, values: Mapping[str, float]) -> None:
+        """Stage newly computed fitness values for the next :meth:`publish`.
 
-        Idempotent: keys already present (locally or published by a
-        concurrent worker) are skipped, keeping the index append-only and
-        first-write-wins.
+        No I/O: keys not yet in the index become visible to every lookup
+        in the process at once (the first staged value of a key wins).
         """
-        if not values:
-            return 0
-        self._ensure_root()
         view = self._view
         with view.lock:
+            self._stage_locked(values)
+
+    def _stage_locked(self, values: Mapping[str, float]) -> None:
+        view = self._view
+        entries = view.entries
+        staged = view.staged
+        was_empty = not staged
+        for key, value in values.items():
+            if key not in entries:
+                staged.setdefault(key, float(value))
+        if was_empty and staged:
+            with _VIEWS_LOCK:
+                _PENDING[view] = self
+
+    def publish(self, values: Optional[Mapping[str, float]] = None) -> int:
+        """Stage ``values`` (if any), then append everything staged.
+
+        One locked, fsynced append; returns how many lines it wrote.
+        Idempotent and first-write-wins: staged keys that another handle
+        or process has put on disk since are dropped, keeping the index
+        append-only.  The staged values are cleared only once the append
+        returns; on ``OSError`` they stay staged and the error propagates.
+        """
+        view = self._view
+        with view.lock:
+            if values:
+                self._stage_locked(values)
+            if not view.staged:
+                return 0
+            self._ensure_root()
             with _file_lock(self.lock_path):
                 view.refresh_locked()
-                fresh = {
-                    key: value for key, value in values.items() if key not in view.entries
-                }
-                if not fresh:
-                    return 0
-                view.append_locked(
-                    fresh,
-                    "".join(
-                        json.dumps({"key": key, "fitness": value}, sort_keys=True) + "\n"
-                        for key, value in fresh.items()
-                    ),
-                )
-        return len(fresh)
+                entries = view.entries
+                lines = [
+                    index_line(key, value)
+                    for key, value in view.staged.items()
+                    if key not in entries
+                ]
+                if lines:
+                    view.append_locked(view.staged, "".join(lines))
+            view.staged = {}
+            with _VIEWS_LOCK:
+                _PENDING.pop(view, None)
+        return len(lines)
 
     # ------------------------------------------------------------------ #
     def summary(self) -> Dict[str, Any]:
         """Index statistics for the ``repro-ehw cache`` subcommand."""
+        self.publish()
         with self._view.lock:
             self._view.refresh_locked()
             entries = len(self._view.entries)
@@ -472,6 +565,7 @@ class PersistentFitnessCache:
 
     def prune(self) -> Dict[str, int]:
         """Compact the index: drop duplicate/corrupt lines, keep first wins."""
+        self.publish()
         self._ensure_root()
         with _file_lock(self.lock_path):
             kept: Dict[str, float] = {}
@@ -493,10 +587,7 @@ class PersistentFitnessCache:
                     kept[key] = value
             _atomic_write_text(
                 self.index_path,
-                "".join(
-                    json.dumps({"key": key, "fitness": value}, sort_keys=True) + "\n"
-                    for key, value in kept.items()
-                ),
+                "".join(index_line(key, value) for key, value in kept.items()),
             )
         return {"lines": total, "kept": len(kept), "dropped": dropped}
 
@@ -505,8 +596,10 @@ class PersistentFitnessCache:
 
         Checks the JSONL is parseable, keys look like SHA-256 hex, fitness
         values are non-negative and integral, and duplicate keys agree —
-        the first-write-wins invariant determinism promises.
+        the first-write-wins invariant determinism promises.  Staged
+        values are published first, so the audit covers them.
         """
+        self.publish()
         problems: List[str] = []
         seen: Dict[str, float] = {}
         if not self.index_path.exists():

@@ -18,7 +18,10 @@ On top of these, :func:`fitness_key` derives the *persistent* fitness
 signature used by the cross-run cache tier
 (:class:`repro.backends.fitness_cache.PersistentFitnessCache`): a SHA-256
 over the gene bytes, the array geometry, the training-plane and
-reference-image content digests, and the fault taint.  The derivation is
+reference-image content digests, and the fault taint.  Everything but
+the gene bytes is fixed within one evaluation scope, so
+:func:`fitness_key_prefix` hashes it once and a caller keying many
+candidates copies that hasher per candidate.  The derivation is
 documented in ``docs/determinism.md`` and versioned by
 :data:`FITNESS_KEY_VERSION` — bump it whenever any keyed ingredient
 changes meaning, so stale caches miss instead of lying.
@@ -45,6 +48,7 @@ __all__ = [
     "candidate_bytes",
     "candidate_key",
     "fitness_key",
+    "fitness_key_prefix",
     "pack_signature",
 ]
 
@@ -130,6 +134,24 @@ def array_digest(values: np.ndarray) -> str:
     return digest.hexdigest()
 
 
+def fitness_key_prefix(
+    rows: int,
+    cols: int,
+    planes_digest: str,
+    reference_digest: str,
+    fault_taint: bool = False,
+):
+    """The SHA-256 hasher of a fitness key after its fixed fields.
+
+    Feeding it a candidate's :func:`candidate_bytes` (on a ``copy()``, so
+    the prefix can be reused) completes :func:`fitness_key`.
+    """
+    return hashlib.sha256(
+        f"fitness/v{FITNESS_KEY_VERSION}/{rows}x{cols}/{planes_digest}/{reference_digest}"
+        f"/taint{int(bool(fault_taint))}/".encode("ascii")
+    )
+
+
 def fitness_key(
     rows: int,
     cols: int,
@@ -141,17 +163,11 @@ def fitness_key(
     """The canonical candidate fitness signature (persistent-tier key).
 
     SHA-256 hex over the versioned concatenation of the array geometry,
-    the training-plane and reference content digests, the candidate's
-    gene bytes and the fault taint.  Fault-tainted evaluations embed
-    per-call random draws and are never cached, but the taint is part of
-    the derivation so a tainted key can never alias a clean one.
+    the training-plane and reference content digests, the fault taint and
+    the candidate's gene bytes.  Fault-tainted evaluations embed per-call
+    random draws and are never cached, but the taint is part of the
+    derivation so a tainted key can never alias a clean one.
     """
-    digest = hashlib.sha256()
-    digest.update(f"fitness/v{FITNESS_KEY_VERSION}/{rows}x{cols}/".encode("ascii"))
-    digest.update(planes_digest.encode("ascii"))
-    digest.update(b"/")
-    digest.update(reference_digest.encode("ascii"))
-    digest.update(b"/taint1" if fault_taint else b"/taint0")
-    digest.update(b"/")
+    digest = fitness_key_prefix(rows, cols, planes_digest, reference_digest, fault_taint)
     digest.update(candidate_bytes(genotype))
     return digest.hexdigest()

@@ -296,11 +296,16 @@ class EvolutionDriver:
             self.platform, array_index, training_image, fitness_cache=self.fitness_cache
         )
 
-    @staticmethod
     def _collect_cache_stats(
-        result: PlatformEvolutionResult, contexts: Sequence[ArrayEvalContext]
+        self, result: PlatformEvolutionResult, contexts: Sequence[ArrayEvalContext]
     ) -> None:
-        """Sum per-context pipeline telemetry onto the run result."""
+        """End of a run: publish the persistent tier, sum pipeline telemetry.
+
+        The run's newly computed fitnesses were staged generation by
+        generation; they reach disk here in one append.
+        """
+        if self.fitness_cache is not None:
+            self.fitness_cache.publish()
         totals: Dict[str, int] = {}
         for context in contexts:
             for key, value in context.pipeline.stats().items():

@@ -31,8 +31,11 @@ unit does:
    across runs and workers, keyed by
    :func:`repro.backends.signature.fitness_key` — gene bytes, geometry
    and the *content digests* of the training planes and reference, so a
-   key can never alias across tasks.  Newly computed fitnesses are
-   published back.
+   key can never alias across tasks.  The fixed part of the key is
+   hashed once per scope.  Newly computed fitnesses are *staged* on the
+   tier, where every lookup in the process sees them at once; they reach
+   disk when the tier is published (once at the end of a driver run, or
+   at process exit).
 
 Fitness trajectories are pinned by the golden digests in
 ``tests/core/test_golden_trajectories.py``, and the cache-parity gate
@@ -48,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.backends.fitness_cache import FitnessCache, PersistentFitnessCache
-from repro.backends.signature import array_digest, candidate_key, fitness_key
+from repro.backends.signature import array_digest, candidate_key, fitness_key_prefix
 
 __all__ = ["FitnessPipeline", "resolve_persistent_cache"]
 
@@ -96,17 +99,17 @@ class FitnessPipeline:
         self.persistent_misses = 0
         self.full_evaluations = 0
         # Scope state: the (planes identity, reference bytes) pair entries
-        # are valid under, plus lazily computed content digests for the
-        # persistent tier.
+        # are valid under, plus the lazily computed persistent-key prefix
+        # (geometry and the scope's content digests, hashed once).
         self._scope: Optional[Tuple[int, bytes]] = None
-        self._digests: Optional[Tuple[str, str]] = None
+        self._key_prefix = None
 
     # ------------------------------------------------------------------ #
     def invalidate(self) -> None:
         """Drop scope-dependent state (retargeted planes or reference)."""
         self.cache.clear()
         self._scope = None
-        self._digests = None
+        self._key_prefix = None
 
     def stats(self) -> Dict[str, int]:
         """The pipeline's telemetry counters as one flat dict."""
@@ -132,11 +135,14 @@ class FitnessPipeline:
             self.invalidate()
             self._scope = scope
 
-    def _scope_digests(self, planes: np.ndarray, reference: np.ndarray) -> Tuple[str, str]:
-        """Content digests of the current scope (persistent-tier keying)."""
-        if self._digests is None:
-            self._digests = (array_digest(planes), array_digest(reference))
-        return self._digests
+    def _scope_key_prefix(self, planes: np.ndarray, reference: np.ndarray):
+        """The persistent-key hasher of the current scope, before the genes."""
+        if self._key_prefix is None:
+            geometry = self.array.geometry
+            self._key_prefix = fitness_key_prefix(
+                geometry.rows, geometry.cols, array_digest(planes), array_digest(reference)
+            )
+        return self._key_prefix
 
     # ------------------------------------------------------------------ #
     def evaluate(self, planes: np.ndarray, genotype, reference: np.ndarray) -> float:
@@ -183,18 +189,18 @@ class FitnessPipeline:
             else:
                 values[index] = value
 
-        # Stage 3: the persistent cross-run tier.
-        publish: Dict[str, float] = {}
+        # Stage 3: the persistent cross-run tier.  Each key is the scope's
+        # prefix completed by the candidate's gene bytes (candidate_bytes,
+        # rebuilt from the memo key already in hand).
+        staged: Dict[str, float] = {}
         if misses and self.persistent is not None:
-            geometry = array.geometry
-            planes_digest, reference_digest = self._scope_digests(planes, reference)
-            persist_keys = {
-                index: fitness_key(
-                    geometry.rows, geometry.cols, planes_digest, reference_digest,
-                    genotypes[index],
-                )
-                for index in misses
-            }
+            prefix = self._scope_key_prefix(planes, reference)
+            persist_keys = {}
+            for index in misses:
+                genes, west, north, output = keys[index]
+                digest = prefix.copy()
+                digest.update(b"".join((genes, west, north, output.to_bytes(4, "little"))))
+                persist_keys[index] = digest.hexdigest()
             found = self.persistent.lookup(persist_keys.values())
             self.persistent_hits += len(found)
             self.persistent_misses += len(persist_keys) - len(found)
@@ -221,10 +227,10 @@ class FitnessPipeline:
                 cache.put(keys[index], value)
                 values[index] = value
                 if persist_keys:
-                    publish[persist_keys[index]] = value
+                    staged[persist_keys[index]] = value
 
-        if publish:
-            self.persistent.publish(publish)
+        if staged:
+            self.persistent.stage(staged)
 
         # Duplicates resolve through the value their first occurrence got.
         return [

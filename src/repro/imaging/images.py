@@ -114,6 +114,24 @@ def shapes_image(size: int = DEFAULT_SIZE, seed: Union[int, np.random.Generator,
     return np.clip(img, 0, 255).astype(np.uint8)
 
 
+def _smooth_rows(values: np.ndarray, half_width: int) -> np.ndarray:
+    """Wrap-padded box smoothing of every row of a 2-D float array.
+
+    One ``np.convolve`` runs over all padded rows laid end to end; each
+    output keeps the windows that lie inside one row.  Every kept output
+    is the same dot product, over the same operands in the same order, as
+    a per-row ``np.convolve(np.pad(row, half_width, mode="wrap"), kernel,
+    mode="valid")``, so the result is bit-identical to that form.
+    """
+    width = 2 * half_width + 1
+    kernel = np.ones(width) / width
+    padded = np.pad(values, ((0, 0), (half_width, half_width)), mode="wrap")
+    rows, stride = padded.shape
+    flat = np.convolve(padded.ravel(), kernel, mode="valid")
+    starts = np.arange(rows)[:, None] * stride + np.arange(values.shape[1])
+    return flat[starts]
+
+
 def texture_image(size: int = DEFAULT_SIZE, seed: Union[int, np.random.Generator, None] = 0,
                   smoothness: int = 4) -> np.ndarray:
     """Band-limited random texture (smoothed white noise).
@@ -127,18 +145,8 @@ def texture_image(size: int = DEFAULT_SIZE, seed: Union[int, np.random.Generator
         raise ValueError(f"smoothness must be >= 1, got {smoothness}")
     rng = _as_rng(seed)
     noise = rng.random((size, size))
-    kernel = np.ones(2 * smoothness + 1) / (2 * smoothness + 1)
     # Separable smoothing along both axes; wrap mode keeps statistics uniform.
-    smoothed = np.apply_along_axis(
-        lambda row: np.convolve(np.pad(row, smoothness, mode="wrap"), kernel, mode="valid"),
-        1,
-        noise,
-    )
-    smoothed = np.apply_along_axis(
-        lambda col: np.convolve(np.pad(col, smoothness, mode="wrap"), kernel, mode="valid"),
-        0,
-        smoothed,
-    )
+    smoothed = _smooth_rows(_smooth_rows(noise, smoothness).T, smoothness).T
     smoothed -= smoothed.min()
     peak = smoothed.max()
     if peak > 0:

@@ -62,13 +62,14 @@ DESIGNATED_CLASS_ATTRS: Dict[str, Set[str]] = {
     "WorkQueue": {"_items", "_pending", "_by_lease"},
     # The tail-read view behind DedupeCache and every PersistentFitnessCache
     # handle on one index (shared between threads and campaign runs).
-    "IndexView": {"entries", "offset", "_identity", "_mtime_ns", "_last_line"},
+    "IndexView": {"entries", "staged", "offset", "_identity", "_mtime_ns", "_last_line"},
 }
 
 #: Module-global stores guarded by contract (matched by rel-path suffix):
-#: the process-wide registry of persistent fitness-cache index views.
+#: the process-wide registry of persistent fitness-cache index views and
+#: the views holding staged values.
 DESIGNATED_MODULE_GLOBALS: Dict[str, Set[str]] = {
-    "repro/backends/fitness_cache.py": {"_VIEWS"},
+    "repro/backends/fitness_cache.py": {"_VIEWS", "_PENDING"},
 }
 
 

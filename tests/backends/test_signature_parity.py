@@ -4,16 +4,19 @@ The numpy engine inlines the packed-signature arithmetic in its
 candidate walk for speed; :mod:`repro.backends.signature` is the
 normative definition.  This suite pins the inlined copy to it: the
 packing expression itself, the whole-candidate ``cand_intern`` keys the
-engine interns under, and the sensitivity of the persistent fitness-key
-derivation.
+engine interns under, the sensitivity of the persistent fitness-key
+derivation, its bytes under key version 1 and the index-line encoding.
 """
+
+import json
 
 import numpy as np
 import pytest
 
-from repro.array.genotype import Genotype
+from repro.array.genotype import Genotype, GenotypeSpec
 from repro.array.systolic_array import SystolicArray
 from repro.array.window import extract_windows
+from repro.backends.fitness_cache import index_line
 from repro.backends.numpy_engine import NumpyBackend
 from repro.backends.signature import (
     COMMUTATIVE,
@@ -23,6 +26,7 @@ from repro.backends.signature import (
     candidate_bytes,
     candidate_key,
     fitness_key,
+    fitness_key_prefix,
     pack_signature,
 )
 
@@ -150,3 +154,50 @@ class TestFitnessKey:
         """Bumping FITNESS_KEY_VERSION invalidates every persisted cache;
         this pin makes such a bump an explicit, reviewed decision."""
         assert FITNESS_KEY_VERSION == 1
+
+    def test_key_bytes_are_pinned_under_version_1(self):
+        """Existing on-disk caches keep hitting only while these stay put."""
+        genotype = Genotype(
+            GenotypeSpec(),
+            np.arange(16, dtype=np.uint8).reshape(4, 4),
+            np.array([0, 3, 5, 8], dtype=np.uint8),
+            np.array([8, 1, 2, 7], dtype=np.uint8),
+            2,
+        )
+        pd = array_digest(np.arange(27, dtype=np.uint8).reshape(3, 3, 3))
+        rd = array_digest(np.full((3, 3), 7, dtype=np.uint8))
+        assert fitness_key(4, 4, pd, rd, genotype) == (
+            "a688fb776e5df863cf4aaa86d165b7c3bf9d215749dc893a7a6e094c665a9c81"
+        )
+        assert fitness_key(4, 4, pd, rd, genotype, fault_taint=True) == (
+            "294381c8c3099111d610bccccea136ac4078d4442acfafee025eefcb669429aa"
+        )
+
+    def test_prefix_form_equals_fitness_key(self):
+        """The pipeline's form: one prefix per scope, completed per candidate
+        from the candidate_key tuple it already holds."""
+        rng = np.random.default_rng(21)
+        for rows, cols in ((4, 4), (2, 8), (3, 5), (1, 1), (6, 2)):
+            spec = GenotypeSpec(rows, cols)
+            pd = "%064x" % int(rng.integers(0, 2**63))
+            rd = "%064x" % int(rng.integers(0, 2**63))
+            for taint in (False, True):
+                prefix = fitness_key_prefix(rows, cols, pd, rd, taint)
+                for _ in range(20):
+                    genotype = Genotype.random(spec, rng)
+                    genes, west, north, output = candidate_key(genotype)
+                    digest = prefix.copy()
+                    digest.update(b"".join((genes, west, north, output.to_bytes(4, "little"))))
+                    expected = fitness_key(rows, cols, pd, rd, genotype, fault_taint=taint)
+                    assert digest.hexdigest() == expected
+
+    @pytest.mark.parametrize("side", [16, 32, 128])
+    def test_index_line_equals_json_dumps(self, side):
+        top = 255 * side * side
+        values = [float(v) for v in range(0, top + 1, max(1, top // 4000))] + [float(top)]
+        values += [2.0**53 - 1, 2.0**53, 2.0**53 + 2, 2.0**60]
+        rng = np.random.default_rng(side)
+        for value in values:
+            key = "%064x" % int(rng.integers(0, 2**63))
+            expected = json.dumps({"key": key, "fitness": value}, sort_keys=True) + "\n"
+            assert index_line(key, value) == expected

@@ -9,9 +9,20 @@ from repro.imaging.images import (
     gradient_image,
     make_test_image,
     make_training_pair,
+    _smooth_rows,
     shapes_image,
     texture_image,
 )
+
+
+def smooth_rows_per_row(values, half_width):
+    """The per-row form the vectorised smoothing must reproduce bit for bit."""
+    kernel = np.ones(2 * half_width + 1) / (2 * half_width + 1)
+    return np.apply_along_axis(
+        lambda row: np.convolve(np.pad(row, half_width, mode="wrap"), kernel, mode="valid"),
+        1,
+        values,
+    )
 
 
 class TestGradientImage:
@@ -83,6 +94,15 @@ class TestShapesAndTexture:
     def test_texture_invalid_smoothness(self):
         with pytest.raises(ValueError):
             texture_image(32, smoothness=0)
+
+    @pytest.mark.parametrize("size", [8, 9, 31, 64, 127, 256])
+    def test_vectorised_smoothing_is_bit_identical_to_per_row(self, size):
+        for smoothness in range(1, 8):
+            for seed in range(3):
+                noise = np.random.default_rng(seed).random((size, size))
+                expected = smooth_rows_per_row(smooth_rows_per_row(noise, smoothness).T, smoothness)
+                actual = _smooth_rows(_smooth_rows(noise, smoothness).T, smoothness)
+                assert actual.tobytes() == expected.tobytes(), (smoothness, seed)
 
 
 class TestMakeTestImage:
