@@ -276,16 +276,41 @@ class SystolicArray:
     def fault_rng(self, position: Tuple[int, int]) -> np.random.Generator:
         """The garbage generator of a faulty position (backends draw from it).
 
-        Each faulty position owns an independent random stream; every
-        evaluation of a candidate must consume exactly one ``(H, W)``
-        block from it, in candidate order — that is the contract that
-        keeps all evaluation backends (and batch vs sequential paths)
-        bit-exact on fault experiments.
+        Each faulty position owns an independent random stream.  Every
+        evaluation of a candidate consumes exactly ``ceil(H*W/4)``
+        ``next_uint32`` words from it, in candidate order, whose bytes
+        (low byte first, the tail of the last word discarded) are the
+        candidate's ``(H, W)`` garbage plane — what one
+        ``integers(0, 256, size=(H, W), dtype=np.uint8)`` call draws.
+        Population paths draw all candidates of an evaluation as one block
+        (:meth:`draw_fault_planes`).  That is the contract that keeps all
+        evaluation backends (and batch vs sequential paths) bit-exact on
+        fault experiments.
 
         Draw from it within one evaluation only: re-injecting the seed a
         position last used rewinds the same generator object in place.
         """
         return self._fault_rngs[position]
+
+    def draw_fault_planes(self, position: Tuple[int, int], n: int, h: int, w: int) -> np.ndarray:
+        """The next ``n`` garbage planes of a faulty position, as one block.
+
+        Returns a fresh, writable ``(n, h, w)`` uint8 array whose row ``b``
+        is byte for byte what the ``b``-th of ``n`` successive
+        ``integers(0, 256, size=(h, w), dtype=np.uint8)`` calls would
+        return, and leaves the generator in the same state.  NumPy's
+        full-range uint8 sampler takes the bytes of one ``next_uint32``
+        word at a time, low byte first, and drops the unused bytes of its
+        last word per call; a full-range uint32 draw returns those same
+        words, so one call of ``ceil(h*w/4)`` words per plane replaces
+        ``n`` calls (``tests/backends/test_fault_draws.py`` pins this on
+        four bit generators).  ``"<u4"`` keeps the byte order on any host.
+        """
+        hw = h * w
+        words = self._fault_rngs[position].integers(
+            0, 1 << 32, size=(n, -(-hw // 4)), dtype=np.uint32
+        )
+        return words.astype("<u4", copy=False).view(np.uint8)[:, :hw].reshape(n, h, w)
 
     # ------------------------------------------------------------------ #
     # Evaluation
@@ -352,8 +377,8 @@ class SystolicArray:
         The result is bit-identical to evaluating every candidate separately
         with :meth:`process_planes`, on every backend: PE operations are
         element-wise and each faulty PE draws its random planes from its own
-        generator once per candidate, in candidate order, exactly as the
-        sequential path does.
+        generator as one block (:meth:`draw_fault_planes`) whose rows are,
+        in candidate order, exactly the sequential path's draws.
 
         Parameters
         ----------
@@ -408,8 +433,8 @@ class SystolicArray:
 
         Bit-exact against scoring candidates one at a time with
         :meth:`process_planes` + ``sae``: the values are identical floats
-        and every faulty position draws exactly one ``(H, W)`` block per
-        candidate, in candidate order, from its own seeded stream.
+        and every faulty position consumes exactly one ``(H, W)`` plane's
+        words per candidate, in candidate order, from its own seeded stream.
 
         Parameters
         ----------

@@ -127,10 +127,11 @@ class EvaluationBackend:
         :meth:`process_planes_batch` (itself a loop over
         :meth:`process_planes` unless the engine overrides it) and reduces
         the stacked outputs — always bit-exact, including the fault-RNG
-        contract: every faulty position draws one ``(H, W)`` block per
-        candidate, in candidate order, exactly like per-candidate
-        evaluation.  Returned values are integral-valued float64 and must
-        equal ``sae(output_b, reference)`` for every candidate ``b``.
+        contract: every faulty position consumes one ``(H, W)`` plane's
+        words per candidate, in candidate order, exactly like
+        per-candidate evaluation.  Returned values are integral-valued
+        float64 and must equal ``sae(output_b, reference)`` for every
+        candidate ``b``.
         """
         from repro.imaging.metrics import sae_batch
 

@@ -40,6 +40,7 @@ import os
 import tempfile
 import threading
 import warnings
+from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Tuple, Union
@@ -82,8 +83,8 @@ class FitnessCache:
     max_entries:
         Entry budget; ``None`` leaves the cache unbounded (store-scoped
         tiers are bounded by their owning store's node budget instead).
-        When bounded, the oldest entry is evicted first — deterministic,
-        so two identical runs see identical hit sequences.
+        When bounded, the oldest entry is evicted first, in O(1) —
+        deterministic, so two identical runs see identical hit sequences.
 
     A *scope* groups entries that are only comparable under one context
     (one reference image for the store-scoped tiers): :meth:`scope`
@@ -92,7 +93,7 @@ class FitnessCache:
     engine keeps its pre-widened int16 reference there).
     """
 
-    __slots__ = ("max_entries", "stats", "scope_data", "_entries", "_scope_token")
+    __slots__ = ("max_entries", "stats", "scope_data", "_entries", "_order", "_scope_token")
 
     def __init__(self, max_entries: Optional[int] = None) -> None:
         if max_entries is not None and max_entries < 1:
@@ -101,6 +102,11 @@ class FitnessCache:
         self.stats = CacheStats()
         self.scope_data: Any = None
         self._entries: Dict[Hashable, float] = {}
+        # Bounded caches only: the keys in insertion order, so eviction
+        # pops the oldest in O(1) (finding a dict's first key scans past
+        # the dummy slots earlier deletes left at its front), while
+        # ``get`` stays a plain dict lookup.
+        self._order: Optional[deque] = None if max_entries is None else deque()
         self._scope_token: Any = None
 
     def __len__(self) -> int:
@@ -111,9 +117,14 @@ class FitnessCache:
         if token == self._scope_token:
             return False
         self._scope_token = token
-        self._entries.clear()
+        self._drop_entries()
         self.scope_data = None
         return True
+
+    def _drop_entries(self) -> None:
+        self._entries.clear()
+        if self._order is not None:
+            self._order.clear()
 
     def get(self, key: Hashable) -> Optional[float]:
         """The cached exact fitness for ``key``, counting hit or miss."""
@@ -127,9 +138,11 @@ class FitnessCache:
     def put(self, key: Hashable, value: float) -> None:
         """Record the exact fitness of ``key`` (evicting oldest-first)."""
         entries = self._entries
-        if self.max_entries is not None and key not in entries:
+        order = self._order
+        if order is not None and key not in entries:
             while len(entries) >= self.max_entries:
-                del entries[next(iter(entries))]
+                del entries[order.popleft()]
+            order.append(key)
         entries[key] = value
 
     def bypass(self, count: int = 1) -> None:
@@ -138,7 +151,7 @@ class FitnessCache:
 
     def clear(self) -> None:
         """Drop every entry (telemetry counters are preserved)."""
-        self._entries.clear()
+        self._drop_entries()
         self.scope_data = None
         self._scope_token = None
 

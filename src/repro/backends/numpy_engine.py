@@ -27,11 +27,13 @@ of their parent's subcircuits, so a generation costs only the handful of
 planes its mutations actually changed.
 
 **Fault semantics.**  A faulty PE's output is random, not structural, so
-fault outputs are drawn up front — one ``(H, W)`` block per faulty
-position per candidate, in candidate order from each position's own
-generator, exactly the reference draw pattern — and everything
-downstream of a fault is memoised per call only (its signature embeds
-the draw, which never recurs).
+fault outputs are drawn up front: one block per faulty position per
+evaluation, from each position's own generator, in which every candidate
+consumes ``ceil(H*W/4)`` ``next_uint32`` words in candidate order —
+exactly the words of the reference's per-candidate ``(H, W)`` draws
+(:meth:`~repro.array.systolic_array.SystolicArray.draw_fault_planes`).
+Everything downstream of a fault is memoised per call only (its
+signature embeds the draw, which never recurs).
 
 The engine is bit-exact against ``reference`` on every PE function,
 processing mode and fault pattern (``tests/backends/`` enforces this),
@@ -305,8 +307,8 @@ class NumpyBackend(EvaluationBackend):
         (dead PEs, unconsumed operands) resolves to an already-scored node
         and costs a dict lookup.  Values are bit-exact against evaluating
         and reducing candidates one at a time; the fault-draw contract (one
-        block per faulty position per candidate, in candidate order) is
-        unchanged.
+        plane's words per faulty position per candidate, in candidate
+        order) is unchanged.
 
         The fused reduce widens pixels to int16, which is exact only for
         uint8 references (the hardware pixel format, and all the
@@ -337,17 +339,15 @@ class NumpyBackend(EvaluationBackend):
         n = len(genotypes)
         h, w = planes.shape[1:]
 
-        # Fault draws happen up front, per position in row-major order and
-        # per candidate in candidate order — one (H, W) block each, exactly
-        # what the reference sweep consumes, so the per-position random
-        # streams stay aligned whether or not the position is live.
-        faulty = array.faulty_positions
-        fault_planes: Dict[Tuple[int, int], List[np.ndarray]] = {}
-        for position in faulty:
-            rng = array.fault_rng(position)
-            fault_planes[position] = [
-                rng.integers(0, 256, size=(h, w), dtype=np.uint8) for _ in range(n)
-            ]
+        # Fault draws happen up front, one (n, H, W) block per position in
+        # row-major order whose rows are the candidates' planes in
+        # candidate order — exactly what the reference sweep consumes, so
+        # the per-position random streams stay aligned whether or not the
+        # position is live.
+        fault_planes: Dict[Tuple[int, int], np.ndarray] = {
+            position: array.draw_fault_planes(position, n, h, w)
+            for position in array.faulty_positions
+        }
 
         store = self._store_for(planes)
         if store.nbytes > self.max_cache_bytes or len(store.values) > _MAX_NODES:

@@ -64,6 +64,10 @@ class ReferenceBackend(EvaluationBackend):
                 north = south[c]
                 position = (r, c)
                 if array.is_faulty(position):
+                    # The literal per-call uint8 draw (as in
+                    # ProcessingElement.compute), kept on purpose: it is
+                    # the oracle the population paths' block draw
+                    # (SystolicArray.draw_fault_planes) is tested against.
                     output = array.fault_rng(position).integers(
                         0, 256, size=west.shape, dtype=np.uint8
                     )
@@ -109,13 +113,10 @@ class ReferenceBackend(EvaluationBackend):
                 north = south[c]
                 position = (r, c)
                 if array.is_faulty(position):
-                    # One draw per candidate, in candidate order, so the
-                    # per-position RNG stream matches sequential evaluation.
-                    fault_rng = array.fault_rng(position)
-                    output = np.stack([
-                        fault_rng.integers(0, 256, size=(h, w), dtype=np.uint8)
-                        for _ in range(n)
-                    ])
+                    # One block whose rows are the candidates' draws, in
+                    # candidate order, so the per-position RNG stream
+                    # matches sequential evaluation.
+                    output = array.draw_fault_planes(position, n, h, w)
                 else:
                     # Mutated offspring share most genes with their parent, so
                     # almost every candidate agrees on the function here: run

@@ -13,7 +13,7 @@ import pytest
 from repro.array.genotype import Genotype
 from repro.array.systolic_array import SystolicArray
 from repro.array.window import extract_windows
-from repro.backends.fitness_cache import PersistentFitnessCache
+from repro.backends.fitness_cache import FitnessCache, PersistentFitnessCache
 from repro.ea.pipeline import FitnessPipeline, resolve_persistent_cache
 from repro.imaging.metrics import sae
 
@@ -75,6 +75,26 @@ class TestInProcessTier:
         assert value == pipeline.evaluate(planes, genotypes[0], reference)
         assert pipeline.stats()["hits"] == 1
         assert pipeline.stats()["full_evaluations"] == 1
+
+    def test_bounded_tier_evicts_oldest_insertion_first(self):
+        """Eviction order is pinned: a re-put updates a value in place
+        without refreshing its age, and a new key on a full cache evicts
+        the oldest insertion — so hit sequences are reproducible."""
+        budget = 8
+        keys = [10, 12, 0, 12, 7, 8, 10, 4, 15, 0, 4, 6, 9, 6, 2, 0, 0, 0, 2, 15, 3, 10, 12, 3]
+        cache = FitnessCache(budget)
+        for index, key in enumerate(keys):
+            cache.put(key, float(index))
+        survivors = {2: 18.0, 3: 23.0, 4: 10.0, 6: 13.0, 9: 12.0, 10: 21.0, 12: 22.0, 15: 19.0}
+        assert len(cache) == budget
+        assert {key: cache.get(key) for key in range(2 * budget)} == {
+            key: survivors.get(key) for key in range(2 * budget)
+        }
+        assert cache.stats.as_dict() == {"hits": 8, "misses": 8, "bypasses": 0}
+        # The oldest survivor is 4 (inserted by put 7, updated by put 10).
+        cache.put(1, 24.0)
+        assert cache.get(4) is None
+        assert [cache.get(key) for key in (1, 15, 3)] == [24.0, 19.0, 23.0]
 
 
 # --------------------------------------------------------------------------- #
