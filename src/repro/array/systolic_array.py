@@ -282,10 +282,10 @@ class SystolicArray:
         (low byte first, the tail of the last word discarded) are the
         candidate's ``(H, W)`` garbage plane — what one
         ``integers(0, 256, size=(H, W), dtype=np.uint8)`` call draws.
-        Population paths draw all candidates of an evaluation as one block
-        (:meth:`draw_fault_planes`).  That is the contract that keeps all
-        evaluation backends (and batch vs sequential paths) bit-exact on
-        fault experiments.
+        The built-in population sweeps draw all candidates of an
+        evaluation as one block (:meth:`draw_fault_planes`).  That is the
+        contract that keeps all evaluation backends (and population vs
+        per-candidate evaluation) bit-exact on fault experiments.
 
         Draw from it within one evaluation only: re-injecting the seed a
         position last used rewinds the same generator object in place.
@@ -330,6 +330,10 @@ class SystolicArray:
     def process_planes(self, planes: np.ndarray, genotype: Genotype) -> np.ndarray:
         """Evaluate a candidate circuit on pre-extracted window planes.
 
+        The per-candidate entry point: cascaded stages, shadow evaluation
+        and mission-time filtering need the output image itself; evolution
+        scores candidates through :meth:`evaluate_population` instead.
+
         Parameters
         ----------
         planes:
@@ -357,64 +361,6 @@ class SystolicArray:
             )
         return self._backend.process_planes(self, planes, genotype)
 
-    def process_planes_batch(
-        self, planes: np.ndarray, genotypes: Sequence[Genotype]
-    ) -> np.ndarray:
-        """Evaluate a batch of candidate circuits in one windowed NumPy pass.
-
-        This is the vectorised pass behind the default
-        :meth:`evaluate_population`: instead of
-        sweeping the array once per candidate (``len(genotypes)`` passes of
-        ``rows*cols`` whole-image operations each), the whole batch is handed
-        to the evaluation backend, which exploits the genes the candidates
-        share — a generation whose offspring differ from the parent in a few
-        genes (the common case under low mutation rates) costs close to
-        *one* array sweep instead of ``B``.  How the sharing is exploited is
-        the backend's business: ``reference`` groups candidates by function
-        gene per PE position, ``numpy`` memoises whole subcircuits (see
-        :mod:`repro.backends`).
-
-        The result is bit-identical to evaluating every candidate separately
-        with :meth:`process_planes`, on every backend: PE operations are
-        element-wise and each faulty PE draws its random planes from its own
-        generator as one block (:meth:`draw_fault_planes`) whose rows are,
-        in candidate order, exactly the sequential path's draws.
-
-        Parameters
-        ----------
-        planes:
-            ``(9, H, W)`` uint8 array from :func:`repro.array.window.extract_windows`.
-        genotypes:
-            The candidate circuits (all with this array's geometry).
-
-        Returns
-        -------
-        numpy.ndarray
-            ``(B, H, W)`` uint8 array; slice ``b`` is candidate ``b``'s output.
-        """
-        planes, genotypes = self._validate_batch(planes, genotypes)
-        return self._backend.process_planes_batch(self, planes, genotypes)
-
-    def _validate_batch(self, planes, genotypes):
-        """Shared input validation of the batch/population entry points."""
-        planes = np.asarray(planes)
-        if planes.ndim != 3 or planes.shape[0] != N_WINDOW_PIXELS:
-            raise ValueError(f"planes must have shape (9, H, W), got {planes.shape}")
-        if planes.dtype != np.uint8:
-            raise TypeError(f"planes must be uint8, got {planes.dtype}")
-        genotypes = list(genotypes)
-        if not genotypes:
-            raise ValueError("genotypes must contain at least one candidate")
-        rows, cols = self.geometry.rows, self.geometry.cols
-        for genotype in genotypes:
-            spec = genotype.spec
-            if (spec.rows, spec.cols) != (rows, cols):
-                raise ValueError(
-                    f"genotype geometry {spec.rows}x{spec.cols} does not match "
-                    f"array {rows}x{cols}"
-                )
-        return planes, genotypes
-
     def evaluate_population(
         self,
         planes: np.ndarray,
@@ -433,8 +379,9 @@ class SystolicArray:
 
         Bit-exact against scoring candidates one at a time with
         :meth:`process_planes` + ``sae``: the values are identical floats
-        and every faulty position consumes exactly one ``(H, W)`` plane's
-        words per candidate, in candidate order, from its own seeded stream.
+        and every faulty position consumes exactly ``ceil(H*W/4)``
+        ``next_uint32`` words per candidate, in candidate order, from its
+        own seeded stream (see :meth:`fault_rng`).
 
         Parameters
         ----------
@@ -443,14 +390,30 @@ class SystolicArray:
         genotypes:
             The candidate circuits (all with this array's geometry).
         reference:
-            ``(H, W)`` reference image the fitness unit compares against.
+            ``(H, W)`` reference image the fitness unit compares against,
+            of any dtype.
 
         Returns
         -------
         numpy.ndarray
             ``(B,)`` float64 array; entry ``b`` is candidate ``b``'s fitness.
         """
-        planes, genotypes = self._validate_batch(planes, genotypes)
+        planes = np.asarray(planes)
+        if planes.ndim != 3 or planes.shape[0] != N_WINDOW_PIXELS:
+            raise ValueError(f"planes must have shape (9, H, W), got {planes.shape}")
+        if planes.dtype != np.uint8:
+            raise TypeError(f"planes must be uint8, got {planes.dtype}")
+        genotypes = list(genotypes)
+        if not genotypes:
+            raise ValueError("genotypes must contain at least one candidate")
+        rows, cols = self.geometry.rows, self.geometry.cols
+        for genotype in genotypes:
+            spec = genotype.spec
+            if (spec.rows, spec.cols) != (rows, cols):
+                raise ValueError(
+                    f"genotype geometry {spec.rows}x{spec.cols} does not match "
+                    f"array {rows}x{cols}"
+                )
         reference = np.asarray(reference)
         if reference.shape != planes.shape[1:]:
             raise ValueError(
@@ -465,10 +428,6 @@ class SystolicArray:
     def process(self, image: np.ndarray, genotype: Genotype) -> np.ndarray:
         """Evaluate a candidate circuit on an image (window extraction included)."""
         return self.process_planes(extract_windows(image), genotype)
-
-    def process_batch(self, image: np.ndarray, genotypes: Sequence[Genotype]) -> np.ndarray:
-        """Evaluate a batch of candidates on an image (window extraction included)."""
-        return self.process_planes_batch(extract_windows(image), genotypes)
 
     def process_stream(
         self, images: Iterable[np.ndarray], genotype: Genotype

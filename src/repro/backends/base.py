@@ -38,6 +38,22 @@ Registering a third-party engine is one decorator:
 ...         return resolve_backend("reference").process_planes(array, planes, genotype)
 >>> "mine" in BACKENDS
 True
+
+``process_planes`` is all an engine must implement: the base
+``evaluate_population`` scores a population through it, bit-exact
+against the built-in engines:
+
+>>> import numpy as np
+>>> from repro.array import Genotype, SystolicArray
+>>> from repro.array.window import extract_windows
+>>> image = np.arange(64, dtype=np.uint8).reshape(8, 8)
+>>> planes = extract_windows(image)
+>>> genotypes = [Genotype.identity(), Genotype.random(rng=1)]
+>>> fits = SystolicArray(backend="mine").evaluate_population(planes, genotypes, image)
+>>> float(fits[0])
+0.0
+>>> bool((fits == SystolicArray().evaluate_population(planes, genotypes, image)).all())
+True
 >>> BACKENDS.unregister("mine")  # tidy up for the doctest runner
 """
 
@@ -62,22 +78,34 @@ __all__ = [
 
 
 class EvaluationBackend:
-    """Evaluation engine contract: planes + genotype(s) in, output planes out.
+    """Evaluation engine contract: one candidate's planes, or a population's fitness.
 
-    A backend receives *validated* inputs — the owning
+    Two entry points, both fed *validated* inputs (the owning
     :class:`~repro.array.systolic_array.SystolicArray` has already checked
-    plane shape/dtype and genotype geometry — and must reproduce the
-    reference semantics bit for bit:
+    plane shape/dtype and genotype geometry):
+
+    * :meth:`process_planes` evaluates one candidate and returns its
+      output plane — the only method an engine must implement;
+    * :meth:`evaluate_population` returns every candidate's fitness
+      against a reference; the default derives it from
+      :meth:`process_planes`, engines override it with a fused path.
+
+    Both must reproduce the reference semantics bit for bit:
 
     * healthy PEs apply their configured function as an element-wise
       uint8 operation;
-    * every faulty position draws exactly one ``(H, W)`` uint8 block per
-      candidate from that position's own generator
-      (``array.fault_rng(position)``), in candidate order, on every
-      evaluation — whether or not the position feeds the selected output
-      (the per-position random streams are part of the observable
-      behaviour fault experiments replay);
-    * the returned arrays are freshly owned (never views of the input
+    * every evaluation of a candidate consumes exactly ``ceil(H*W/4)``
+      ``next_uint32`` words from each faulty position's own generator
+      (``array.fault_rng(position)``), in candidate order, whether or not
+      the position feeds the selected output — what one
+      ``integers(0, 256, size=(H, W), dtype=np.uint8)`` call draws.  A
+      population path may draw all its candidates' planes as one block
+      with :meth:`SystolicArray.draw_fault_planes
+      <repro.array.systolic_array.SystolicArray.draw_fault_planes>`,
+      which leaves the generator in the same state.  The per-position
+      streams are part of the observable behaviour fault experiments
+      replay;
+    * returned planes are freshly owned (never views of the input
       planes).
 
     Backends may cache derived data (the ``numpy`` engine memoises
@@ -95,18 +123,6 @@ class EvaluationBackend:
         """Evaluate one candidate on ``(9, H, W)`` planes; returns ``(H, W)`` uint8."""
         raise NotImplementedError
 
-    def process_planes_batch(
-        self, array: "SystolicArray", planes: np.ndarray, genotypes: Sequence["Genotype"]
-    ) -> np.ndarray:
-        """Evaluate a candidate batch; returns ``(B, H, W)`` uint8.
-
-        The default implementation loops over :meth:`process_planes`,
-        which is always bit-exact; engines override it with a faster
-        vectorised pass.
-        """
-        outputs = [self.process_planes(array, planes, genotype) for genotype in genotypes]
-        return np.stack(outputs)
-
     def evaluate_population(
         self,
         array: "SystolicArray",
@@ -123,19 +139,16 @@ class EvaluationBackend:
         work *across* the population and skip materialising per-candidate
         output planes entirely.
 
-        The default implementation loops through
-        :meth:`process_planes_batch` (itself a loop over
-        :meth:`process_planes` unless the engine overrides it) and reduces
-        the stacked outputs — always bit-exact, including the fault-RNG
-        contract: every faulty position consumes one ``(H, W)`` plane's
-        words per candidate, in candidate order, exactly like
-        per-candidate evaluation.  Returned values are integral-valued
+        The default stacks :meth:`process_planes` per candidate, in
+        candidate order, and reduces the stack with
+        :func:`~repro.imaging.metrics.sae_batch` — always bit-exact,
+        fault streams included.  Returned values are integral-valued
         float64 and must equal ``sae(output_b, reference)`` for every
         candidate ``b``.
         """
         from repro.imaging.metrics import sae_batch
 
-        outputs = self.process_planes_batch(array, planes, genotypes)
+        outputs = np.stack([self.process_planes(array, planes, g) for g in genotypes])
         return sae_batch(outputs, reference).astype(np.float64)
 
     def clear_cache(self) -> None:

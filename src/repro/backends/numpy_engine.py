@@ -21,8 +21,8 @@ draws — see below.)
 **Hash-consed memoisation.**  Every evaluated subcircuit gets a
 structural signature ``(function gene, west id, north id)``; equal
 signatures mean equal output planes, so each distinct subcircuit is
-evaluated once per batch — and, because the signature store is kept per
-training-plane set, once per *evolution run*: offspring share almost all
+evaluated once per population — and, because the signature store is kept
+per training-plane set, once per *evolution run*: offspring share almost all
 of their parent's subcircuits, so a generation costs only the handful of
 planes its mutations actually changed.
 
@@ -279,16 +279,9 @@ class NumpyBackend(EvaluationBackend):
     def process_planes(
         self, array: "SystolicArray", planes: np.ndarray, genotype: "Genotype"
     ) -> np.ndarray:
-        out, owned = self._evaluate(array, planes, [genotype], want_batch=False)
+        out, owned = self._evaluate(array, planes, [genotype])
         self._release_over_budget(planes)
         return out if owned else out.copy()
-
-    def process_planes_batch(
-        self, array: "SystolicArray", planes: np.ndarray, genotypes: Sequence["Genotype"]
-    ) -> np.ndarray:
-        out, _ = self._evaluate(array, planes, list(genotypes), want_batch=True)
-        self._release_over_budget(planes)
-        return out
 
     def evaluate_population(
         self,
@@ -299,31 +292,29 @@ class NumpyBackend(EvaluationBackend):
     ) -> np.ndarray:
         """Fused population fitness: hash-consed evaluation + memoised reduce.
 
-        Candidates share the plane store's hash-consed subprograms exactly
-        as in :meth:`process_planes_batch`, but instead of materialising a
-        ``(B, H, W)`` output stack the aggregated absolute error of each
-        candidate's output *node* is computed (and memoised per store and
-        reference) directly — a candidate whose mutations were all neutral
-        (dead PEs, unconsumed operands) resolves to an already-scored node
-        and costs a dict lookup.  Values are bit-exact against evaluating
+        Candidates share the plane store's hash-consed subprograms, and
+        instead of materialising a ``(B, H, W)`` output stack the
+        aggregated absolute error of each candidate's output *node* is
+        computed (and memoised per store and reference) directly — a
+        candidate whose mutations were all neutral (dead PEs, unconsumed
+        operands) resolves to an already-scored node and costs a dict
+        lookup.  Values are bit-exact against evaluating
         and reducing candidates one at a time; the fault-draw contract (one
         plane's words per faulty position per candidate, in candidate
         order) is unchanged.
 
         The fused reduce widens pixels to int16, which is exact only for
-        uint8 references (the hardware pixel format, and all the
+        uint8 references (the hardware pixel format).
         :meth:`~repro.array.systolic_array.SystolicArray.evaluate_population`
-        surface accepts); a wider reference — possible only through direct
-        protocol calls — takes the unfused batch path whose
-        ``sae_batch`` reduce matches ``sae``'s int64 arithmetic, keeping
-        the backends interchangeable for every input.
+        accepts any reference dtype, so a wider one takes the base
+        per-candidate path, whose ``sae_batch`` reduce matches ``sae``'s
+        int64 arithmetic, keeping the backends interchangeable for every
+        input.
         """
         reference = np.asarray(reference)
         if reference.dtype != np.uint8:
             return super().evaluate_population(array, planes, genotypes, reference)
-        fits, _ = self._evaluate(
-            array, planes, list(genotypes), want_batch=False, reduce_ref=reference
-        )
+        fits, _ = self._evaluate(array, planes, list(genotypes), reduce_ref=reference)
         self._release_over_budget(planes)
         return fits
 
@@ -332,7 +323,6 @@ class NumpyBackend(EvaluationBackend):
         array: "SystolicArray",
         planes: np.ndarray,
         genotypes: Sequence["Genotype"],
-        want_batch: bool,
         reduce_ref: Optional[np.ndarray] = None,
     ):
         cols = array.geometry.cols
@@ -489,7 +479,6 @@ class NumpyBackend(EvaluationBackend):
             value = values[root] if root >= 0 else call_values[root]
             return value
 
-        out = np.empty((n, h, w), dtype=np.uint8) if want_batch else None
         single_value: np.ndarray = planes[0]  # overwritten below (n >= 1)
         single_owned = False
         fault_free = not fault_planes
@@ -528,8 +517,6 @@ class NumpyBackend(EvaluationBackend):
                 if vid is not None:
                     if reduce_mode:
                         pend_fitness(b, vid)
-                    elif want_batch:
-                        out[b] = force(vid)
                     else:
                         single_value = force(vid)
                         single_owned = False
@@ -635,8 +622,6 @@ class NumpyBackend(EvaluationBackend):
                 # no fault reached the selected output) are memoisable and
                 # deduplicated; fault-tainted outputs get their own row.
                 pend_fitness(b, vid)
-            elif want_batch:
-                out[b] = force(vid)
             elif vid >= 0:
                 # Store nodes are shared across calls (and input/const nodes
                 # alias the caller's planes), so the caller gets a copy.
@@ -667,6 +652,4 @@ class NumpyBackend(EvaluationBackend):
                 for b, row in fit_rows:
                     fits[b] = totals[row]
             return fits, True
-        if want_batch:
-            return out, True
         return single_value, single_owned

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.array.pe_library import apply_function, function_table
 from repro.backends.base import EvaluationBackend
+from repro.imaging.metrics import sae_batch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.array.genotype import Genotype
@@ -34,9 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["ReferenceBackend"]
 
-#: Function implementations indexed by gene value, resolved once: the batch
-#: path dispatches through this table directly to skip the per-call
-#: validation of :func:`apply_function` (genes are validated by Genotype).
+#: Function implementations indexed by gene value, resolved once: the
+#: population sweep dispatches through this table directly to skip the
+#: per-call validation of :func:`apply_function` (genes are validated by
+#: Genotype).
 _IMPLS_BY_GENE = function_table()
 
 
@@ -77,9 +79,19 @@ class ReferenceBackend(EvaluationBackend):
                 south[c] = output
         return east[int(genotype.output_select)]
 
-    def process_planes_batch(
-        self, array: "SystolicArray", planes: np.ndarray, genotypes: Sequence["Genotype"]
+    def evaluate_population(
+        self,
+        array: "SystolicArray",
+        planes: np.ndarray,
+        genotypes: Sequence["Genotype"],
+        reference: np.ndarray,
     ) -> np.ndarray:
+        """One sweep over the whole population, then ``sae_batch``.
+
+        Each PE position runs once on ``(B, H, W)`` stacks instead of once
+        per candidate; :meth:`process_planes` stays the oracle it is
+        tested against.
+        """
         rows, cols = array.geometry.rows, array.geometry.cols
         n = len(genotypes)
         h, w = planes.shape[1:]
@@ -137,10 +149,11 @@ class ReferenceBackend(EvaluationBackend):
 
         first_select = output_select[0]
         if output_select.count(first_select) == n:
-            return east[first_select]
-        majority_row = max(set(output_select), key=output_select.count)
-        result = east[majority_row]
-        for i, row in enumerate(output_select):
-            if row != majority_row:
-                result[i] = east[row][i]
-        return result
+            outputs = east[first_select]
+        else:
+            majority_row = max(set(output_select), key=output_select.count)
+            outputs = east[majority_row]
+            for i, row in enumerate(output_select):
+                if row != majority_row:
+                    outputs[i] = east[row][i]
+        return sae_batch(outputs, reference).astype(np.float64)

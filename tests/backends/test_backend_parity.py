@@ -92,8 +92,9 @@ class TestRandomCircuits:
                 reference.process_planes(planes, genotype),
                 numpy_array.process_planes(planes, genotype),
             )
-        expected = reference.process_planes_batch(planes, genotypes[:16])
-        produced = numpy_array.process_planes_batch(planes, genotypes[:16])
+        target = planes[4]
+        expected = reference.evaluate_population(planes, genotypes[:16], target)
+        produced = numpy_array.evaluate_population(planes, genotypes[:16], target)
         assert np.array_equal(expected, produced)
 
     def test_non_square_geometry(self):
@@ -167,8 +168,8 @@ class TestFaultPatterns:
             if step % 3 == 2:
                 batch = [Genotype.random(SPEC, rng) for _ in range(5)]
                 assert np.array_equal(
-                    reference.process_planes_batch(planes, batch),
-                    numpy_array.process_planes_batch(planes, batch),
+                    reference.evaluate_population(planes, batch, planes[4]),
+                    numpy_array.evaluate_population(planes, batch, planes[4]),
                 ), step
             else:
                 genotype = Genotype.random(SPEC, rng)
@@ -282,6 +283,40 @@ class TestEvaluateBatchParity:
         assert fitnesses["reference"] == fitnesses["numpy"]
 
 
+class TestWideReferences:
+    """Non-uint8 references: numpy's fallback and the reference sweep both
+    reduce with ``sae``'s int64 arithmetic and keep the fault streams aligned."""
+
+    FAULTS = [((0, 1), 31), ((2, 2), 32)]
+
+    @pytest.mark.parametrize("dtype", ("int64", "float64"))
+    @pytest.mark.parametrize("backend", ("reference", "numpy"))
+    def test_matches_per_candidate_sae_and_stream_state(self, backend, dtype):
+        target = np.random.default_rng(23).uniform(-400.0, 700.0, size=(12, 12)).astype(dtype)
+        assert target.min() < 0 and target.max() > 255
+        planes = extract_windows(_image(side=12, seed=4))
+        rng = np.random.default_rng(29)
+        genotypes = [Genotype.random(SPEC, rng) for _ in range(6)]
+
+        def build():
+            array = SystolicArray(backend=backend)
+            for position, seed in self.FAULTS:
+                array.inject_fault(position, seed)
+            return array
+
+        population_array, oracle = build(), build()
+        for _ in range(2):  # a second round checks the streams stayed aligned
+            fits = population_array.evaluate_population(planes, genotypes, target)
+            expected = [sae(oracle.process_planes(planes, g), target) for g in genotypes]
+            assert fits.dtype == np.float64
+            assert fits.tolist() == expected
+        for position, _ in self.FAULTS:
+            assert (
+                population_array.fault_rng(position).bit_generator.state
+                == oracle.fault_rng(position).bit_generator.state
+            )
+
+
 # --------------------------------------------------------------------------- #
 # Property-based parity: random genotypes x fault sets x call shapes.
 # --------------------------------------------------------------------------- #
@@ -315,15 +350,14 @@ def test_property_random_circuits_and_faults(genotype_seed, image_seed, faults, 
     rng = np.random.default_rng(genotype_seed)
     genotypes = [Genotype.random(SPEC, rng) for _ in range(batch_size)]
 
-    expected = reference.process_planes_batch(planes, genotypes)
-    produced = numpy_array.process_planes_batch(planes, genotypes)
+    target = planes[4]
+    expected = reference.evaluate_population(planes, genotypes, target)
+    produced = numpy_array.evaluate_population(planes, genotypes, target)
     assert np.array_equal(expected, produced)
 
-    # Identical planes imply identical fitness; assert it anyway on the
-    # full batch so the contract is stated where campaigns rely on it.
-    target = planes[4]
-    for row_expected, row_produced in zip(expected, produced):
-        assert sae(row_expected, target) == sae(row_produced, target)
+    # Both equal the per-candidate oracle run on fresh fault streams.
+    oracle, _ = _pair_of_arrays(faults=faults)
+    assert expected.tolist() == [sae(oracle.process_planes(planes, g), target) for g in genotypes]
 
     # A follow-up single evaluation must agree too (same RNG stream state).
     follow_up = Genotype.random(SPEC, rng)

@@ -156,3 +156,38 @@ class TestNumpyCache:
             NumpyBackend(max_cache_bytes=0)
         with pytest.raises(ValueError):
             NumpyBackend(max_stores=0)
+
+
+class TestExtensionPoint:
+    def test_process_planes_alone_gives_bit_exact_population_fitness(self):
+        """A backend implementing only ``process_planes`` scores populations
+        through the base default, bit-exact on a faulty array."""
+        from repro.array.genotype import Genotype
+        from repro.array.window import extract_windows
+        from repro.imaging.metrics import sae
+
+        class PlanesOnly(EvaluationBackend):
+            name = "planes-only"
+
+            def process_planes(self, array, planes, genotype):
+                return ReferenceBackend().process_planes(array, planes, genotype)
+
+        assert "evaluate_population" not in vars(PlanesOnly)
+        rng = np.random.default_rng(41)
+        planes = extract_windows(rng.integers(0, 256, size=(14, 14), dtype=np.uint8))
+        target = rng.integers(0, 256, size=(14, 14), dtype=np.uint8)
+        genotypes = [Genotype.random(rng=rng) for _ in range(7)]
+
+        def build(backend):
+            array = SystolicArray(backend=backend)
+            array.inject_fault((1, 0), seed=5)
+            array.inject_fault((3, 2), seed=6)
+            return array
+
+        plugin, oracle, numpy_array = build(PlanesOnly()), build("reference"), build("numpy")
+        for _ in range(2):  # a second round checks the streams stayed aligned
+            fits = plugin.evaluate_population(planes, genotypes, target)
+            expected = [sae(oracle.process_planes(planes, g), target) for g in genotypes]
+            assert fits.dtype == np.float64
+            assert fits.tolist() == expected
+            assert np.array_equal(fits, numpy_array.evaluate_population(planes, genotypes, target))

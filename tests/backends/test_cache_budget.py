@@ -36,13 +36,11 @@ class TestTinyBudget:
         # not stay pinned afterwards.
         assert id(planes) not in backend._stores
 
-    def test_population_and_batch_paths_also_release(self, workload):
+    def test_population_path_also_releases(self, workload):
         planes, genotype = workload
         backend = NumpyBackend(max_cache_bytes=1)
         array = SystolicArray(backend=backend)
         genotypes = [genotype, Genotype.random(rng=np.random.default_rng(9))]
-        array.process_planes_batch(planes, genotypes)
-        assert id(planes) not in backend._stores
         reference = np.zeros(planes.shape[1:], dtype=np.uint8)
         array.evaluate_population(planes, genotypes, reference)
         assert id(planes) not in backend._stores

@@ -128,10 +128,3 @@ class TestOneCallPerFaultyPosition:
         array, streams = self._counting_array(backend)
         array.evaluate_population(planes, genotypes, reference)
         assert [s.calls for s in streams.values()] == [1] * len(self.FAULTS)
-
-    @pytest.mark.parametrize("backend", ("numpy", "reference"))
-    def test_process_planes_batch(self, backend):
-        planes, genotypes, _ = self._population()
-        array, streams = self._counting_array(backend)
-        array.process_planes_batch(planes, genotypes)
-        assert [s.calls for s in streams.values()] == [1] * len(self.FAULTS)
