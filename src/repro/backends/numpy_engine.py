@@ -35,6 +35,17 @@ exactly the words of the reference's per-candidate ``(H, W)`` draws
 Everything downstream of a fault is memoised per call only (its
 signature embeds the draw, which never recurs).
 
+**Plane memory.**  Every kernel writes into an ``out`` plane it is given
+(:data:`_KERNELS`).  A memoised node's plane is a slot of a ``(16, H, W)``
+slab (fewer planes under a small ``max_cache_bytes``) from a bounded,
+process-wide pool; a plane store hands its slabs back when it dies, and
+the pool keeps at most the returning backend's budget of free slabs per
+shape.  A fresh platform's stores so reuse pages an earlier run already
+faulted in, instead of faulting in a new 16 KB array per node at
+128x128.  Only pages are shared across runs, never values.
+Fault-tainted planes are per-call arrays outside the pool, because
+:meth:`NumpyBackend.process_planes` may hand them to the caller.
+
 The engine is bit-exact against ``reference`` on every PE function,
 processing mode and fault pattern (``tests/backends/`` enforces this),
 and ``benchmarks/test_bench_backends.py`` gates its >=5x speedup on the
@@ -53,12 +64,14 @@ Fig. 12/13 evolution workload.
 
 from __future__ import annotations
 
+import os
+import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.array.pe_library import FUNCTION_ARITY, N_FUNCTIONS, PEFunction, function_table
+from repro.array.pe_library import FUNCTION_ARITY, N_FUNCTIONS, PEFunction
 from repro.backends.base import EvaluationBackend
 from repro.backends.fitness_cache import FitnessCache
 
@@ -86,79 +99,129 @@ _IDENTITY_W = int(PEFunction.IDENTITY_W)
 _IDENTITY_N = int(PEFunction.IDENTITY_N)
 
 _U8_255 = np.uint8(255)
-
-
 _U8_1 = np.uint8(1)
+_U8_2 = np.uint8(2)
 _U8_4 = np.uint8(4)
-_U8_15 = np.uint8(0x0F)
 
 
-def _invert_w_fast(w: np.ndarray, n: np.ndarray) -> np.ndarray:
-    # 255 - w never underflows, so it can stay in uint8 (the reference
-    # implementation routes through int16; the values are identical).
-    return np.subtract(_U8_255, w)
+def _const_max(w: np.ndarray, n: np.ndarray, out: np.ndarray) -> np.ndarray:
+    out.fill(255)
+    return out
 
 
-def _add_sat_fast(w: np.ndarray, n: np.ndarray) -> np.ndarray:
-    # min(w + n, 255) in pure uint8: the wrapping sum is below w exactly
-    # when w + n overflowed, and -1 (mod 256) turns that mask into 255.
-    total = np.add(w, n)
-    mask = np.less(total, w).view(np.uint8)
-    np.negative(mask, out=mask)
-    np.bitwise_or(total, mask, out=total)
-    return total
+def _identity_w(w: np.ndarray, n: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.copyto(out, w)
+    return out
 
 
-def _sub_abs_fast(w: np.ndarray, n: np.ndarray) -> np.ndarray:
+def _identity_n(w: np.ndarray, n: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.copyto(out, n)
+    return out
+
+
+def _add_sat(w: np.ndarray, n: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # min(w + n, 255) == w + min(n, 255 - w), overflow-free in uint8.
+    np.subtract(_U8_255, w, out=out)
+    np.minimum(out, n, out=out)
+    return np.add(out, w, out=out)
+
+
+def _sub_abs(w: np.ndarray, n: np.ndarray, out: np.ndarray) -> np.ndarray:
     # |w - n| == max(w, n) - min(w, n), underflow-free in uint8.
-    low = np.minimum(w, n)
-    high = np.maximum(w, n)
-    np.subtract(high, low, out=high)
-    return high
+    np.maximum(w, n, out=out)
+    return np.subtract(out, np.minimum(w, n), out=out)
 
 
-def _average_fast(w: np.ndarray, n: np.ndarray) -> np.ndarray:
+def _average(w: np.ndarray, n: np.ndarray, out: np.ndarray) -> np.ndarray:
     # (w + n) >> 1 == (w & n) + ((w ^ n) >> 1), carry-free in uint8.
-    half = np.bitwise_xor(w, n)
-    np.right_shift(half, _U8_1, out=half)
-    np.add(half, np.bitwise_and(w, n), out=half)
-    return half
+    np.bitwise_xor(w, n, out=out)
+    np.right_shift(out, _U8_1, out=out)
+    return np.add(out, np.bitwise_and(w, n), out=out)
 
 
-def _swap_nibbles_fast(w: np.ndarray, n: np.ndarray) -> np.ndarray:
-    low = np.bitwise_and(w, _U8_15)
-    np.left_shift(low, _U8_4, out=low)
-    np.bitwise_or(low, np.right_shift(w, _U8_4), out=low)
-    return low
+def _swap_nibbles_w(w: np.ndarray, n: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # uint8 shifts drop the bits they push out: (w << 4) | (w >> 4).
+    np.left_shift(w, _U8_4, out=out)
+    return np.bitwise_or(out, np.right_shift(w, _U8_4), out=out)
 
 
-def _threshold_fast(w: np.ndarray, n: np.ndarray) -> np.ndarray:
-    # 255 where w > n else 0: negate the 0/1 comparison mask in uint8.
-    mask = np.greater(w, n).view(np.uint8)
-    np.negative(mask, out=mask)
-    return mask
+def _threshold(w: np.ndarray, n: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # 255 where w > n else 0: the 0/1 comparison mask, negated in uint8.
+    np.greater(w, n, out=out.view(np.bool_))
+    return np.negative(out, out=out)
 
 
-def _build_impls():
-    """The PE function table with allocation-lean, bit-exact replacements.
+#: The engine's PE kernels by gene: ``kernel(west, north, out)`` writes the
+#: function's uint8 plane into ``out`` (which must not overlap either
+#: input) and returns it.  Each equals the readable reference kernel of
+#: :mod:`repro.array.pe_library` on every input pair
+#: (``tests/backends/test_backend_parity.py`` checks all 256x256 of them),
+#: without its int16 round-trips.
+_KERNELS = tuple(
+    kernel
+    for _, kernel in sorted({
+        PEFunction.CONST_MAX: _const_max,
+        PEFunction.IDENTITY_W: _identity_w,
+        PEFunction.IDENTITY_N: _identity_n,
+        PEFunction.INVERT_W: lambda w, n, out: np.subtract(_U8_255, w, out=out),
+        PEFunction.OR: lambda w, n, out: np.bitwise_or(w, n, out=out),
+        PEFunction.AND: lambda w, n, out: np.bitwise_and(w, n, out=out),
+        PEFunction.XOR: lambda w, n, out: np.bitwise_xor(w, n, out=out),
+        PEFunction.SHIFT_R1_W: lambda w, n, out: np.right_shift(w, _U8_1, out=out),
+        PEFunction.SHIFT_R2_W: lambda w, n, out: np.right_shift(w, _U8_2, out=out),
+        PEFunction.ADD_SAT: _add_sat,
+        PEFunction.SUB_ABS: _sub_abs,
+        PEFunction.AVERAGE: _average,
+        PEFunction.MAX: lambda w, n, out: np.maximum(w, n, out=out),
+        PEFunction.MIN: lambda w, n, out: np.minimum(w, n, out=out),
+        PEFunction.SWAP_NIBBLES_W: _swap_nibbles_w,
+        PEFunction.THRESHOLD: _threshold,
+    }.items())
+)
 
-    Each replacement computes the same uint8 value for every input pair as
-    the reference implementation (``tests/backends/test_backend_parity.py`` proves
-    this exhaustively over all 256x256 input combinations); they avoid the
-    int16 round-trips and scalar-broadcast overhead of the readable
-    reference kernels on the hot path.
+
+#: Planes per pooled slab (fewer when the backend's budget is smaller).
+_SLAB_PLANES = 16
+#: The process-wide pool of free slabs, by slab shape ``(planes, H, W)``:
+#: a store takes its slabs from here and hands them back when it dies,
+#: so the next run's planes land on pages the last run already touched.
+_FREE_SLABS: Dict[Tuple[int, int, int], List[np.ndarray]] = {}
+#: Reentrant, because garbage collection can free a store (and so return
+#: its slabs) while its thread is already inside the pool.
+_SLAB_LOCK = threading.RLock()
+
+
+def _take_slab(shape: Tuple[int, int, int]) -> np.ndarray:
+    """A free slab of ``shape`` from the pool, or a new one."""
+    with _SLAB_LOCK:
+        free = _FREE_SLABS.get(shape)
+        if free:
+            return free.pop()
+    return np.empty(shape, dtype=np.uint8)
+
+
+def _return_slabs(slabs: List[np.ndarray], budget: int) -> None:
+    """Pool ``slabs``, keeping at most ``budget`` bytes of free slabs of their shape."""
+    keep = budget // slabs[0].nbytes
+    with _SLAB_LOCK:
+        free = _FREE_SLABS.setdefault(slabs[0].shape, [])
+        free.extend(slabs)
+        del free[keep:]
+
+
+def _forget_slabs_in_child() -> None:
+    """Give a forked child an empty pool behind a fresh lock.
+
+    A lock another parent thread held at fork time is never released in
+    the child, so it is re-initialised in place (the child has one thread).
     """
-    impls = list(function_table())
-    impls[int(PEFunction.INVERT_W)] = _invert_w_fast
-    impls[int(PEFunction.ADD_SAT)] = _add_sat_fast
-    impls[int(PEFunction.SUB_ABS)] = _sub_abs_fast
-    impls[int(PEFunction.AVERAGE)] = _average_fast
-    impls[int(PEFunction.SWAP_NIBBLES_W)] = _swap_nibbles_fast
-    impls[int(PEFunction.THRESHOLD)] = _threshold_fast
-    return tuple(impls)
+    _SLAB_LOCK._at_fork_reinit()
+    with _SLAB_LOCK:
+        _FREE_SLABS.clear()
 
 
-_IMPLS = _build_impls()
+if hasattr(os, "register_at_fork"):  # pragma: no cover - POSIX only
+    os.register_at_fork(after_in_child=_forget_slabs_in_child)
 
 
 class _PlaneStore:
@@ -171,6 +234,13 @@ class _PlaneStore:
     the exact plane array it was built from (``snapshot`` guards against
     in-place mutation), so a signature hit is guaranteed to reproduce the
     reference computation.
+
+    Materialised node planes live in slots of pooled slabs (see
+    :meth:`slot`); the store hands its slabs back to the pool when it
+    dies, by whatever route (eviction, rebuild, ``clear_cache`` or
+    garbage collection of its backend).  Nothing outside the store may
+    keep a view of a slot: :meth:`NumpyBackend.process_planes` copies
+    store planes before it returns them.
     """
 
     __slots__ = (
@@ -184,9 +254,13 @@ class _PlaneStore:
         "const_id",
         "nbytes",
         "fitness",
+        "budget",
+        "slab_shape",
+        "slabs",
+        "free_slots",
     )
 
-    def __init__(self, planes: np.ndarray) -> None:
+    def __init__(self, planes: np.ndarray, budget: int) -> None:
         self.planes = planes
         self.snapshot = planes.tobytes()
         self.intern: Dict[int, int] = {}
@@ -206,6 +280,25 @@ class _PlaneStore:
         # to reproduce the reduce — neutral mutations and recurring
         # candidates cost one lookup instead of a plane reduction.
         self.fitness = FitnessCache()
+        # A slab never exceeds the backend's budget (but holds one plane).
+        self.budget = budget
+        h, w = planes.shape[1:]
+        self.slab_shape = (max(1, min(_SLAB_PLANES, budget // (h * w))), h, w)
+        self.slabs: List[np.ndarray] = []
+        self.free_slots: List[np.ndarray] = []  # unused slot views, newest slab
+
+    def __del__(self) -> None:
+        if self.slabs:
+            _return_slabs(self.slabs, self.budget)
+
+    def slot(self) -> np.ndarray:
+        """An unused ``(H, W)`` slot for the next memoised plane."""
+        free = self.free_slots
+        if not free:
+            slab = _take_slab(self.slab_shape)
+            self.slabs.append(slab)
+            free.extend(slab)  # one view per slot
+        return free.pop()
 
     def matches(self, planes: np.ndarray) -> bool:
         # Identity pins the object (the held reference keeps its id from
@@ -249,7 +342,7 @@ class NumpyBackend(EvaluationBackend):
         if store is not None and store.matches(planes):
             self._stores.move_to_end(key)
             return store
-        store = _PlaneStore(planes)
+        store = _PlaneStore(planes, self.max_cache_bytes)
         self._stores[key] = store
         self._stores.move_to_end(key)
         while len(self._stores) > self.max_stores:
@@ -280,8 +373,11 @@ class NumpyBackend(EvaluationBackend):
         self, array: "SystolicArray", planes: np.ndarray, genotype: "Genotype"
     ) -> np.ndarray:
         out, owned = self._evaluate(array, planes, [genotype])
+        if not owned:
+            # Copy before the release below can pool the slab under it.
+            out = out.copy()
         self._release_over_budget(planes)
-        return out if owned else out.copy()
+        return out
 
     def evaluate_population(
         self,
@@ -358,7 +454,7 @@ class NumpyBackend(EvaluationBackend):
         intern = store.intern
         values = store.values
         input_ids = store.input_ids
-        impls = _IMPLS
+        kernels = _KERNELS
         arity2 = _ARITY2
         commutative = _COMMUTATIVE
 
@@ -409,6 +505,9 @@ class NumpyBackend(EvaluationBackend):
         call_specs: Dict[int, Tuple[int, int, int]] = {}
         next_call_id = -1
         specs = store.specs
+        slot = store.slot
+        empty = np.empty
+        plane_shape = (h, w)
         plane_nbytes = h * w
 
         def force(root: int) -> np.ndarray:
@@ -436,14 +535,15 @@ class NumpyBackend(EvaluationBackend):
                     else (values[nid] if nid >= 0 else call_values[nid])
                 )
                 if north is not None:
-                    result = impls[gene](west, north)
                     if root >= 0:
-                        values[root] = result
+                        value = values[root] = kernels[gene](west, north, slot())
                         store.nbytes += plane_nbytes
                         del specs[root]
                     else:
-                        call_values[root] = result
-                    return result
+                        value = call_values[root] = kernels[gene](
+                            west, north, empty(plane_shape, np.uint8)
+                        )
+                    return value
             stack = [root]
             while stack:
                 vid = stack[-1]
@@ -468,13 +568,16 @@ class NumpyBackend(EvaluationBackend):
                     if north is None:
                         stack.append(nid)
                         continue
-                result = impls[gene](west, north)
                 if vid >= 0:
-                    values[vid] = result
+                    values[vid] = kernels[gene](west, north, slot())
                     store.nbytes += plane_nbytes
                     del specs[vid]
                 else:
-                    call_values[vid] = result
+                    # Fault-tainted planes may be handed to the caller, so
+                    # they never live in a slab.
+                    call_values[vid] = kernels[gene](
+                        west, north, empty(plane_shape, np.uint8)
+                    )
                 stack.pop()
             value = values[root] if root >= 0 else call_values[root]
             return value

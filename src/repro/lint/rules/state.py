@@ -67,9 +67,12 @@ DESIGNATED_CLASS_ATTRS: Dict[str, Set[str]] = {
 
 #: Module-global stores guarded by contract (matched by rel-path suffix):
 #: the process-wide registry of persistent fitness-cache index views and
-#: the views holding staged values.
+#: the views holding staged values; the numpy engine's pool of free plane
+#: slabs and its lock (stores of any thread, or the garbage collector,
+#: return slabs to it).
 DESIGNATED_MODULE_GLOBALS: Dict[str, Set[str]] = {
     "repro/backends/fitness_cache.py": {"_VIEWS", "_PENDING"},
+    "repro/backends/numpy_engine.py": {"_FREE_SLABS", "_SLAB_LOCK"},
 }
 
 

@@ -231,6 +231,28 @@ class TestLockDiscipline:
         assert finding.symbol == "_VIEWS"
         assert finding.line == 12
 
+    def test_numpy_engine_slab_pool_and_lock_are_designated(self, lint_source):
+        # Neither global is written under a lock here, so only the
+        # designation can flag the unguarded pool write and lock rebind.
+        source = textwrap.dedent(
+            """
+            import threading
+
+            _FREE_SLABS = {}
+            _SLAB_LOCK = threading.RLock()
+
+            def forget_in_child():
+                global _SLAB_LOCK
+                _SLAB_LOCK = threading.RLock()
+                _FREE_SLABS.clear()
+            """
+        )
+        report = lint_source(source, rules=["LCK001"], rel="repro/backends/numpy_engine.py")
+        assert sorted(finding.symbol for finding in report.findings) == [
+            "_FREE_SLABS",
+            "_SLAB_LOCK",
+        ]
+
     def test_index_view_state_is_designated(self, lint_source):
         report = lint_source(
             textwrap.dedent(

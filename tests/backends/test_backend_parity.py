@@ -16,7 +16,7 @@ from repro.array.genotype import Genotype, GenotypeSpec
 from repro.array.pe_library import N_FUNCTIONS, apply_function
 from repro.array.systolic_array import ArrayGeometry, SystolicArray
 from repro.array.window import N_WINDOW_PIXELS, extract_windows
-from repro.backends.numpy_engine import _IMPLS, NumpyBackend
+from repro.backends.numpy_engine import _KERNELS, NumpyBackend
 from repro.core.evolution import ArrayEvalContext
 from repro.core.modes import ProcessingMode
 from repro.core.platform import EvolvableHardwarePlatform
@@ -43,13 +43,15 @@ def _pair_of_arrays(faults=(), geometry=ArrayGeometry()):
 
 
 class TestFunctionKernels:
-    def test_fast_kernels_exhaustively_bit_exact(self):
-        """Every fast kernel equals the reference on ALL 256x256 input pairs."""
+    def test_out_kernels_exhaustively_bit_exact(self):
+        """Every engine kernel writes the reference plane into ``out``, on ALL 256x256 pairs."""
         west = np.repeat(np.arange(256, dtype=np.uint8), 256).reshape(256, 256)
         north = np.tile(np.arange(256, dtype=np.uint8), 256).reshape(256, 256)
         for gene in range(N_FUNCTIONS):
             expected = apply_function(gene, west, north)
-            produced = _IMPLS[gene](west, north)
+            out = np.full((256, 256), 0xA5, dtype=np.uint8)
+            produced = _KERNELS[gene](west, north, out)
+            assert produced is out, gene
             assert produced.dtype == np.uint8, gene
             assert np.array_equal(produced, expected), f"gene {gene} diverges"
 
