@@ -18,7 +18,7 @@ from conftest import print_table
 
 from repro.backends.fitness_cache import FitnessCache
 
-BUDGET = 1 << 16  # FitnessPipeline's default in-process budget
+BUDGET = 1 << 16  # FitnessPipeline's in-process budget (CACHE_ENTRIES)
 BATCH = 1024
 #: Enough evictions to cross the dict's compaction cycle several times.
 EVICTING_PUTS = 48 * BATCH

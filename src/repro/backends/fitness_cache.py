@@ -1,24 +1,21 @@
-"""The unified fitness cache: one audited memo behind every evaluation path.
+"""The fitness pipeline's two cache tiers, and the durable-file helpers.
 
-Every evaluation path shares two audited fitness memos, in place of the
-divergent per-engine dicts and the genotype-keyed context cache (which
-silently disabled itself on fault-tainted arrays) that preceded the
-staged fitness pipeline:
+:class:`~repro.ea.pipeline.FitnessPipeline` serves candidates from two
+audited fitness memos before it evaluates any in full:
 
-* :class:`FitnessCache` — the in-process tier.  A bounded, scope-aware
-  mapping from a caller-chosen key (a hash-consed node id inside a
-  backend store, or a canonical candidate signature inside the
-  pipeline) to an exact fitness value, with hit/miss/bypass telemetry.
-  Caching is value-transparent by construction: an entry is only ever
-  written with the exact value a full evaluation produced, so serving a
-  hit cannot change any trajectory byte.
+* :class:`FitnessCache` — the in-process tier.  A bounded, oldest-first
+  mapping from a canonical candidate signature to an exact fitness
+  value, with hit/miss/bypass telemetry.  Caching is value-transparent
+  by construction: an entry is only ever written with the exact value a
+  full evaluation produced, so serving a hit cannot change any
+  trajectory byte.  (The numpy engine's per-node fitness memo is a plain
+  dict of its plane store, not this class.)
 * :class:`PersistentFitnessCache` — the opt-in cross-run tier.  An
   append-only JSONL index of canonical fitness signatures
-  (:func:`repro.backends.signature.fitness_key`) under the same
-  fcntl/atomic-write discipline as the campaign store
-  (:mod:`repro.runtime.store` — reimplemented here, not imported, so
-  the backends layer stays below the runtime layer), safe to share
-  between concurrent campaign workers.  The tier is *write-behind*:
+  (:func:`repro.backends.signature.fitness_key`) under an fcntl lock
+  and atomic writes, safe to share between concurrent campaign workers.
+  The campaign store (:mod:`repro.runtime.store`) imports the same
+  durable-file helpers from here.  The tier is *write-behind*:
   newly computed values are staged in the process-wide index view,
   where every lookup in the process sees them at once, and reach disk
   in one locked, fsynced append per :meth:`PersistentFitnessCache.publish`
@@ -27,9 +24,8 @@ staged fitness pipeline:
   nothing partial or wrong can reach the index.
 
 Fault-tainted evaluations embed per-call random draws and are *never*
-cached by either tier; they are counted as bypasses so the blindness the
-old context cache suffered from is now visible telemetry
-(``PlatformEvolutionResult.fitness_cache_stats``).
+cached by either tier; the pipeline counts them as bypasses, so they are
+visible telemetry (``PlatformEvolutionResult.fitness_cache_stats``).
 """
 
 from __future__ import annotations
@@ -76,55 +72,30 @@ class CacheStats:
 
 
 class FitnessCache:
-    """In-process fitness memo: bounded, scope-aware, telemetry-counting.
+    """The fitness pipeline's in-process memo: bounded, telemetry-counting.
 
     Parameters
     ----------
     max_entries:
-        Entry budget; ``None`` leaves the cache unbounded (store-scoped
-        tiers are bounded by their owning store's node budget instead).
-        When bounded, the oldest entry is evicted first, in O(1) —
+        Entry budget.  The oldest entry is evicted first, in O(1) —
         deterministic, so two identical runs see identical hit sequences.
-
-    A *scope* groups entries that are only comparable under one context
-    (one reference image for the store-scoped tiers): :meth:`scope`
-    clears the entries whenever the token changes, and ``scope_data``
-    gives the owner a slot for derived per-scope scratch (the numpy
-    engine keeps its pre-widened int16 reference there).
     """
 
-    __slots__ = ("max_entries", "stats", "scope_data", "_entries", "_order", "_scope_token")
+    __slots__ = ("max_entries", "stats", "_entries", "_order")
 
-    def __init__(self, max_entries: Optional[int] = None) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be positive or None")
+    def __init__(self, max_entries: int) -> None:
+        if max_entries < 1:
+            raise ValueError("max_entries must be positive")
         self.max_entries = max_entries
         self.stats = CacheStats()
-        self.scope_data: Any = None
         self._entries: Dict[Hashable, float] = {}
-        # Bounded caches only: the keys in insertion order, so eviction
-        # pops the oldest in O(1) (finding a dict's first key scans past
-        # the dummy slots earlier deletes left at its front), while
-        # ``get`` stays a plain dict lookup.
-        self._order: Optional[deque] = None if max_entries is None else deque()
-        self._scope_token: Any = None
+        # The keys in insertion order, so eviction pops the oldest in O(1)
+        # (finding a dict's first key scans past the dummy slots earlier
+        # deletes left at its front), while ``get`` stays a plain lookup.
+        self._order: deque = deque()
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def scope(self, token: Hashable) -> bool:
-        """Enter scope ``token``; returns True (and clears) on a change."""
-        if token == self._scope_token:
-            return False
-        self._scope_token = token
-        self._drop_entries()
-        self.scope_data = None
-        return True
-
-    def _drop_entries(self) -> None:
-        self._entries.clear()
-        if self._order is not None:
-            self._order.clear()
 
     def get(self, key: Hashable) -> Optional[float]:
         """The cached exact fitness for ``key``, counting hit or miss."""
@@ -139,7 +110,7 @@ class FitnessCache:
         """Record the exact fitness of ``key`` (evicting oldest-first)."""
         entries = self._entries
         order = self._order
-        if order is not None and key not in entries:
+        if key not in entries:
             while len(entries) >= self.max_entries:
                 del entries[order.popleft()]
             order.append(key)
@@ -151,13 +122,18 @@ class FitnessCache:
 
     def clear(self) -> None:
         """Drop every entry (telemetry counters are preserved)."""
-        self._drop_entries()
-        self.scope_data = None
-        self._scope_token = None
+        self._entries.clear()
+        self._order.clear()
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
-    """Atomic write (temp file + ``os.replace``), as in the campaign store."""
+    """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
+
+    A reader can only ever observe the old content or the complete new
+    content — never a truncated file — even if the writer is killed
+    mid-write.  The temp file lives in the destination directory so the
+    replace stays on one filesystem.
+    """
     fd, tmp_name = tempfile.mkstemp(
         dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp"
     )
@@ -177,7 +153,12 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 @contextmanager
 def _file_lock(lock_path: Path):
-    """Advisory exclusive ``fcntl`` lock (no-op where unavailable)."""
+    """Advisory exclusive lock scoped to the ``with`` block.
+
+    Uses ``fcntl.flock`` where available (POSIX); elsewhere the lock
+    degrades to a no-op and the append-side newline healing remains the
+    only interleaving defence.
+    """
     if fcntl is None:  # pragma: no cover - non-POSIX fallback
         yield
         return

@@ -73,14 +73,14 @@ import numpy as np
 
 from repro.array.pe_library import FUNCTION_ARITY, N_FUNCTIONS, PEFunction
 from repro.backends.base import EvaluationBackend
-from repro.backends.fitness_cache import FitnessCache
 
 # Shared memo-key conventions (see repro.backends.signature, the normative
 # definition): _COMMUTATIVE canonicalises commutative operand order, and
 # signatures pack as ((west << 21) | north) << 4 | gene with _NO_NORTH as
-# the arity-1 sentinel — so node ids must stay below _NO_NORTH.  Stores
-# are rebuilt once they reach _MAX_NODES ids, and a single call whose
-# worst case would cross the sentinel is rejected up front (_evaluate).
+# the arity-1 sentinel — so node ids must stay below _NO_NORTH.  A store
+# that passed _MAX_NODES ids is dropped at the end of its call, and a
+# single call whose worst case would cross the sentinel is rejected up
+# front (_evaluate).
 from repro.backends.signature import (
     COMMUTATIVE as _COMMUTATIVE,
     MAX_NODES as _MAX_NODES,
@@ -237,7 +237,8 @@ class _PlaneStore:
 
     Materialised node planes live in slots of pooled slabs (see
     :meth:`slot`); the store hands its slabs back to the pool when it
-    dies, by whatever route (eviction, rebuild, ``clear_cache`` or
+    dies, by whatever route (eviction, the end-of-call release of
+    :meth:`NumpyBackend._release_over_budget`, ``clear_cache`` or
     garbage collection of its backend).  Nothing outside the store may
     keep a view of a slot: :meth:`NumpyBackend.process_planes` copies
     store planes before it returns them.
@@ -254,6 +255,8 @@ class _PlaneStore:
         "const_id",
         "nbytes",
         "fitness",
+        "fitness_ref",
+        "fitness_ref16",
         "budget",
         "slab_shape",
         "slabs",
@@ -274,12 +277,14 @@ class _PlaneStore:
             self.values.append(planes[k])
         self.const_id = -1  # allocated lazily (most circuits never use CONST_MAX)
         self.nbytes = 0
-        # Population-fitness memo: the unified in-process cache tier,
-        # scoped per reference image and keyed by store node id.  Node
-        # planes are immutable once materialised, so a hit is guaranteed
-        # to reproduce the reduce — neutral mutations and recurring
-        # candidates cost one lookup instead of a plane reduction.
-        self.fitness = FitnessCache()
+        # Node-fitness memo: store node id -> SAE total against the
+        # reference whose bytes are fitness_ref (fitness_ref16 is that
+        # reference widened once to int16).  Node planes are immutable once
+        # materialised, so a hit reproduces the reduce: neutral mutations
+        # and recurring candidates cost one lookup instead of a reduction.
+        self.fitness: Dict[int, int] = {}
+        self.fitness_ref: Optional[bytes] = None
+        self.fitness_ref16: Optional[np.ndarray] = None
         # A slab never exceeds the backend's budget (but holds one plane).
         self.budget = budget
         h, w = planes.shape[1:]
@@ -313,8 +318,9 @@ class NumpyBackend(EvaluationBackend):
     ----------
     max_cache_bytes:
         Budget for memoised subcircuit planes per training-plane set;
-        when a store outgrows it, the store is rebuilt from scratch
-        (correctness is unaffected — only the hit rate resets).
+        a store that outgrows it is dropped at the end of the call, and
+        the next call starts a fresh one (correctness is unaffected —
+        only the hit rate resets).
     max_stores:
         Number of distinct training-plane sets kept concurrently
         (cascaded evolution re-extracts planes per stage input).
@@ -350,20 +356,22 @@ class NumpyBackend(EvaluationBackend):
         return store
 
     def _release_over_budget(self, planes: np.ndarray) -> None:
-        """Evict a plane store that outgrew the byte budget during a call.
+        """Drop the store of ``planes`` if this call took it over a budget.
 
-        The budget check at the top of :meth:`_evaluate` only fires when
-        the *same* planes are evaluated again; without this end-of-call
-        eviction, a single store whose memoised planes already exceed
-        ``max_cache_bytes`` (one big image is enough under a tiny budget)
-        would stay pinned in ``_stores`` — holding more than the whole
-        budget, for as long as its LRU slot survives — even though it can
-        never be kept within budget.  Dropping it is free for
-        correctness: every entry is recomputed from the planes on demand.
+        The one place a store is dropped for its size, at the end of every
+        evaluation call: once its memoised planes pass ``max_cache_bytes``,
+        or its node ids pass ``_MAX_NODES`` (read at call time).  So every
+        store kept between calls is within both budgets, which the
+        signature-space guard in :meth:`_evaluate` relies on.  Dropping
+        is free for correctness: the next call on these planes starts a
+        fresh store, whose entries are recomputed on demand, and the
+        dropped store hands its slabs back to the pool.
         """
         key = id(planes)
         store = self._stores.get(key)
-        if store is not None and store.nbytes > self.max_cache_bytes:
+        if store is not None and (
+            store.nbytes > self.max_cache_bytes or len(store.values) > _MAX_NODES
+        ):
             del self._stores[key]
 
     # ------------------------------------------------------------------ #
@@ -436,14 +444,9 @@ class NumpyBackend(EvaluationBackend):
         }
 
         store = self._store_for(planes)
-        if store.nbytes > self.max_cache_bytes or len(store.values) > _MAX_NODES:
-            # Budget exceeded: rebuild the store (hit rate resets, results
-            # cannot change — every entry is recomputed from the planes).
-            self._stores.pop(id(planes), None)
-            store = self._store_for(planes)
-        # The packed signatures give node ids 21 bits; the entry reset above
-        # bounds the store, and this guard bounds what one call can add, so
-        # an id can never collide with the _NO_NORTH sentinel.
+        # The packed signatures give node ids 21 bits; _release_over_budget
+        # bounds a kept store, and this guard bounds what one call can add,
+        # so an id can never collide with the _NO_NORTH sentinel.
         n_pes = array.geometry.rows * cols
         if len(store.values) + n * n_pes >= _NO_NORTH:
             raise ValueError(
@@ -460,7 +463,8 @@ class NumpyBackend(EvaluationBackend):
 
         reduce_mode = reduce_ref is not None
         fits: Optional[np.ndarray] = None
-        fit_cache = store.fitness
+        fit_memo = store.fitness
+        fit_memo_get = fit_memo.get
         # Reduce-mode misses: one (node id or None, output plane) row per
         # *distinct* demanded node, scored in one vectorised pass after the
         # candidate loop; fit_rows maps candidates onto rows, so siblings
@@ -471,7 +475,7 @@ class NumpyBackend(EvaluationBackend):
 
         def pend_fitness(b: int, vid: int) -> None:
             if vid >= 0:
-                fit = fit_cache.get(vid)
+                fit = fit_memo_get(vid)
                 if fit is not None:
                     fits[b] = fit
                     return
@@ -483,19 +487,19 @@ class NumpyBackend(EvaluationBackend):
             else:
                 # Fault-tainted output: embeds this call's draws, reduced
                 # directly and never memoised.
-                fit_cache.bypass()
                 row = len(fit_pending)
                 fit_pending.append((None, force(vid)))
             fit_rows.append((b, row))
 
         if reduce_mode:
             reference = np.asarray(reduce_ref)
-            if fit_cache.scope(reference.tobytes()):
-                # New reference for this plane store: the scope change
-                # dropped the node-fitness entries (values keyed under the
-                # old reference are unrelated); the pre-widened reference
-                # rides along as per-scope scratch.
-                fit_cache.scope_data = reference.astype(np.int16)
+            ref_bytes = reference.tobytes()
+            if ref_bytes != store.fitness_ref:
+                # New reference for this plane store: totals scored against
+                # the old one are unrelated.
+                fit_memo.clear()
+                store.fitness_ref = ref_bytes
+                store.fitness_ref16 = reference.astype(np.int16)
             fits = np.empty(n, dtype=np.float64)
 
         # Per-call overlay for fault-tainted nodes: their signatures embed
@@ -742,16 +746,16 @@ class NumpyBackend(EvaluationBackend):
                 # differences fit int16 exactly and accumulate in int64 —
                 # the same arithmetic as sae()/sae_batch bit for bit (kept
                 # in-place here because the reference is pre-widened once
-                # per store as fit_ref16).
+                # per store and reference, as store.fitness_ref16).
                 diffs = np.empty((len(fit_pending), h, w), dtype=np.int16)
                 for row_index, (_, plane) in enumerate(fit_pending):
                     diffs[row_index] = plane
-                diffs -= fit_cache.scope_data
+                diffs -= store.fitness_ref16
                 np.abs(diffs, out=diffs)
                 totals = diffs.sum(axis=(1, 2), dtype=np.int64).tolist()
                 for (vid, _), total in zip(fit_pending, totals):
                     if vid is not None:
-                        fit_cache.put(vid, total)
+                        fit_memo[vid] = total
                 for b, row in fit_rows:
                     fits[b] = totals[row]
             return fits, True

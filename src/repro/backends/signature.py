@@ -54,9 +54,9 @@ __all__ = [
 
 #: Signature packing: an arity-2 signature packs into one int as
 #: ((west << 21) | north) << 4 | gene, so node ids must stay below
-#: NO_NORTH (the arity-1 sentinel).  The engine rebuilds its stores once
-#: they reach MAX_NODES ids and rejects a single call whose worst case
-#: would cross the sentinel.
+#: NO_NORTH (the arity-1 sentinel).  The engine drops a store at the end
+#: of a call that took it past MAX_NODES ids and rejects a single call
+#: whose worst case would cross the sentinel.
 NO_NORTH = (1 << 21) - 1
 MAX_NODES = 1 << 20
 

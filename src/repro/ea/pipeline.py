@@ -20,10 +20,11 @@ unit does:
    silent — the telemetry surfaces on
    :attr:`repro.core.evolution.PlatformEvolutionResult.fitness_cache_stats`.
 2. **In-process cache tier.**  A per-pipeline
-   :class:`~repro.backends.fitness_cache.FitnessCache` keyed by the
+   :class:`~repro.backends.fitness_cache.FitnessCache` of
+   :data:`CACHE_ENTRIES` entries, evicted oldest first, keyed by the
    canonical candidate signature
-   (:func:`repro.backends.signature.candidate_key`), scoped to the
-   current (planes, reference) pair.  Serving a hit is
+   (:func:`repro.backends.signature.candidate_key`) and cleared whenever
+   the (planes, reference) pair changes.  Serving a hit is
    value-transparent: entries only ever hold the exact value a full
    evaluation produced.
 3. **Persistent cache tier** (opt-in, the ``fitness_cache`` knob).  A
@@ -55,6 +56,10 @@ from repro.backends.signature import array_digest, candidate_key, fitness_key_pr
 
 __all__ = ["FitnessPipeline", "resolve_persistent_cache"]
 
+#: Entry budget of the in-process cache tier.
+CACHE_ENTRIES = 1 << 16
+
+
 def resolve_persistent_cache(
     cache: Union[None, str, os.PathLike, PersistentFitnessCache],
 ) -> Optional[PersistentFitnessCache]:
@@ -77,8 +82,6 @@ class FitnessPipeline:
     array:
         The :class:`~repro.array.systolic_array.SystolicArray` every
         backend call is issued against.
-    max_entries:
-        Entry budget of the in-process cache tier.
     persistent:
         Optional persistent tier (``None``, a path, or a shared
         :class:`PersistentFitnessCache` instance).
@@ -88,11 +91,10 @@ class FitnessPipeline:
         self,
         array,
         *,
-        max_entries: int = 1 << 16,
         persistent: Union[None, str, os.PathLike, PersistentFitnessCache] = None,
     ) -> None:
         self.array = array
-        self.cache = FitnessCache(max_entries)
+        self.cache = FitnessCache(CACHE_ENTRIES)
         self.persistent = resolve_persistent_cache(persistent)
         # Telemetry beyond the cache tier's own hit/miss/bypass counters.
         self.persistent_hits = 0

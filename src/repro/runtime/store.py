@@ -39,19 +39,12 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import warnings
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
-try:  # pragma: no cover - import guard exercised implicitly per platform
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
-
 from repro.api.artifact import RunArtifact
-from repro.backends.fitness_cache import IndexView, append_healed
+from repro.backends.fitness_cache import IndexView, _atomic_write_text, _file_lock, append_healed
 from repro.runtime.campaign import CampaignSpec, RunSpec
 
 __all__ = ["CampaignStore", "DedupeCache"]
@@ -63,50 +56,6 @@ RUNS_DIR = "runs"
 
 #: Index statuses that carry a loadable artifact (and are skipped on resume).
 ARTIFACT_STATUSES = ("completed", "cached")
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
-
-    A reader can only ever observe the old content or the complete new
-    content — never a truncated file — even if the writer is killed
-    mid-write.  The temp file lives in the destination directory so the
-    replace stays on one filesystem.
-    """
-    fd, tmp_name = tempfile.mkstemp(
-        dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
-@contextmanager
-def _file_lock(lock_path: Path):
-    """Advisory exclusive lock scoped to the ``with`` block.
-
-    Uses ``fcntl.flock`` where available (POSIX); elsewhere the lock
-    degrades to a no-op and the append-side newline healing remains the
-    only interleaving defence.
-    """
-    if fcntl is None:  # pragma: no cover - non-POSIX fallback
-        yield
-        return
-    with open(lock_path, "a+b") as handle:
-        fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-        try:
-            yield
-        finally:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
 
 
 class CampaignStore:

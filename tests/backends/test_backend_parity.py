@@ -285,6 +285,25 @@ class TestEvaluateBatchParity:
         assert fitnesses["reference"] == fitnesses["numpy"]
 
 
+class TestNodeFitnessMemo:
+    def test_memo_follows_the_reference(self):
+        """One array and one planes object scored against A, then B, then A:
+        every value is the per-candidate ``sae`` against the reference of
+        that call, so no node total outlives the reference it was scored on."""
+        planes = extract_windows(_image(side=16, seed=8))
+        ref_a = _image(side=16, seed=9)
+        ref_b = ref_a.copy()
+        ref_b[::3, ::2] ^= 0x5A
+        rng = np.random.default_rng(41)
+        parent = Genotype.random(SPEC, rng)
+        genotypes = [parent] + [mutate(parent, 3, rng).genotype for _ in range(8)]
+        oracle, array = _pair_of_arrays()
+        for target in (ref_a, ref_b, ref_a):
+            expected = [sae(oracle.process_planes(planes, g), target) for g in genotypes]
+            assert array.evaluate_population(planes, genotypes, target).tolist() == expected
+        assert expected != [sae(oracle.process_planes(planes, g), ref_b) for g in genotypes]
+
+
 class TestWideReferences:
     """Non-uint8 references: numpy's fallback and the reference sweep both
     reduce with ``sae``'s int64 arithmetic and keep the fault streams aligned."""

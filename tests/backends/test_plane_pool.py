@@ -173,6 +173,25 @@ class TestDropRoutes:
         assert _all_in(taken, held)
         assert len(_free((16, 16, 16))) * slab_bytes <= budget
 
+    def test_node_budget_drops_the_store_at_the_end_of_its_call(self, monkeypatch):
+        take = numpy_engine._take_slab
+        taken = []
+
+        def spy(shape):
+            taken.append(take(shape))
+            return taken[-1]
+
+        monkeypatch.setattr(numpy_engine, "_take_slab", spy)
+        monkeypatch.setattr(numpy_engine, "_MAX_NODES", 1)
+        planes = _planes(16)
+        backend = NumpyBackend()
+        SystolicArray(backend=backend).evaluate_population(planes, _population(0), planes[4])
+        # The call passed the node budget, so the same call dropped its
+        # store and its slabs are back in the pool; nothing waits for the
+        # next call to find the store over budget.
+        assert backend._stores == {}
+        assert taken and _all_in(taken, _free())
+
     def test_free_pool_keeps_at_most_the_returning_budget(self):
         planes = _planes(16)
         plane_bytes = 16 * 16
