@@ -21,15 +21,16 @@ of function genes dominate the reconfiguration cost).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.array.pe_library import N_FUNCTIONS
 from repro.array.window import N_WINDOW_PIXELS
 
-__all__ = ["GenotypeSpec", "Genotype", "GeneKind"]
+__all__ = ["GenotypeSpec", "Genotype", "GeneKind", "Population"]
 
 
 class GeneKind:
@@ -347,3 +348,130 @@ class Genotype:
             f"west={self.west_mux.tolist()}, north={self.north_mux.tolist()}, "
             f"out={self.output_select})"
         )
+
+
+def _row_genotype(spec: GenotypeSpec, row: np.ndarray, output: int) -> Genotype:
+    """An unvalidated genotype whose gene arrays are views of ``row``.
+
+    ``row`` holds every gene but the output select, in flat-gene order.
+    """
+    genotype = object.__new__(Genotype)
+    n_pes, rows = spec.n_pes, spec.rows
+    genotype.spec = spec
+    genotype.function_genes = row[:n_pes].reshape(rows, spec.cols)
+    genotype.west_mux = row[n_pes : n_pes + rows]
+    genotype.north_mux = row[n_pes + rows :]
+    genotype.output_select = output
+    return genotype
+
+
+class Population(Sequence):
+    """Candidate genotypes of one spec as the rows of one read-only gene matrix.
+
+    Row ``i`` of :attr:`genes`, a ``(n, n_genes - 1)`` uint8 matrix, holds
+    every gene of candidate ``i`` but the output select, in flat-gene order
+    (function genes row-major, then the west and north muxes);
+    :attr:`outputs` holds the output selects (row indices, which may not
+    fit a byte).  Item ``i`` is a read-only :class:`Genotype` view of row
+    ``i``, built when it is asked for, so the evolution drivers carry a
+    whole generation through placement and the fitness pipeline without
+    building a per-candidate object.
+
+    :attr:`keys` are the candidates' memo keys: the gene bytes of a row
+    followed by the output select as 4 little-endian bytes
+    (:func:`repro.backends.signature.candidate_bytes`).  The rows are the
+    consecutive ``n_genes - 1`` byte runs of ``data``, held as an immutable
+    ``bytes`` object (a copy, unless ``data`` already is one) that the
+    matrix only views, so neither the genes nor their keys can change after
+    construction.
+    """
+
+    __slots__ = ("spec", "outputs", "_data", "_genes", "_keys")
+
+    def __init__(self, spec: GenotypeSpec, data: bytes, outputs: Sequence[int]) -> None:
+        self.spec = spec
+        self.outputs = list(outputs)
+        self._data: Optional[bytes] = bytes(data)
+        self._genes: Optional[np.ndarray] = None  # viewed from _data on first use
+        self._keys: Optional[List[bytes]] = None  # sliced from _data on first use
+
+    @classmethod
+    def of(cls, genotypes: Sequence[Genotype]) -> "Population":
+        """``genotypes`` as a population (returned as is if it already is one).
+
+        Every genotype must share one spec; the genes are copied, so later
+        in-place edits of the genotypes do not reach the population.
+        """
+        if isinstance(genotypes, Population):
+            return genotypes
+        genotypes = list(genotypes)
+        if not genotypes:
+            raise ValueError("a population needs at least one genotype")
+        spec = genotypes[0].spec
+        outputs: List[int] = []
+        keys: List[bytes] = []
+        for genotype in genotypes:
+            if genotype.spec is not spec and genotype.spec != spec:
+                raise ValueError("every genotype of a population must share one spec")
+            output = int(genotype.output_select)
+            outputs.append(output)
+            keys.append(
+                genotype.function_genes.tobytes()
+                + genotype.west_mux.tobytes()
+                + genotype.north_mux.tobytes()
+                + output.to_bytes(4, "little")
+            )
+        # Built from its keys: the byte buffer is joined from them on first use.
+        population = cls.__new__(cls)
+        population.spec, population.outputs = spec, outputs
+        population._data = population._genes = None
+        population._keys = keys
+        return population
+
+    @property
+    def genes(self) -> np.ndarray:
+        """The read-only ``(n, n_genes - 1)`` uint8 gene matrix."""
+        if self._genes is None:
+            if self._data is None:
+                self._data = b"".join([key[:-4] for key in self._keys])
+            genes = np.frombuffer(self._data, dtype=np.uint8)
+            self._genes = genes.reshape(len(self.outputs), self.spec.n_genes - 1)
+        return self._genes
+
+    @property
+    def functions(self) -> np.ndarray:
+        """The ``(n, n_pes)`` function-gene columns of :attr:`genes`."""
+        return self.genes[:, : self.spec.n_pes]
+
+    @property
+    def keys(self) -> List[bytes]:
+        """Each candidate's gene bytes plus its output select (4 bytes, little-endian).
+
+        Computed once per population, by slicing its byte buffer.
+        """
+        if self._keys is None:
+            data, width = self._data, self.spec.n_genes - 1
+            self._keys = [
+                data[start : start + width] + output.to_bytes(4, "little")
+                for start, output in zip(range(0, len(data), width), self.outputs)
+            ]
+        return self._keys
+
+    def take(self, rows: Iterable[int]) -> "Population":
+        """The sub-population of ``rows`` (row numbers), in that order."""
+        rows = list(rows)
+        taken = Population(self.spec, self.genes[rows].tobytes(), [self.outputs[i] for i in rows])
+        if self._keys is not None:
+            taken._keys = [self._keys[i] for i in rows]
+        return taken
+
+    def detached(self, index: int) -> Genotype:
+        """A writable genotype of row ``index`` that shares no memory with the population."""
+        return _row_genotype(self.spec, self.genes[index].copy(), self.outputs[index])
+
+    def __len__(self) -> int:
+        return len(self.outputs)
+
+    def __getitem__(self, index: int) -> Genotype:
+        return _row_genotype(self.spec, self.genes[index], self.outputs[index])
+

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Sequence, T
 
 import numpy as np
 
-from repro.array.genotype import Genotype, GenotypeSpec
+from repro.array.genotype import Genotype, GenotypeSpec, Population
 from repro.array.processing_element import _PE_FAULT_STREAM_TAG
 from repro.array.window import N_WINDOW_PIXELS, extract_windows
 
@@ -388,7 +388,9 @@ class SystolicArray:
         planes:
             ``(9, H, W)`` uint8 array from :func:`repro.array.window.extract_windows`.
         genotypes:
-            The candidate circuits (all with this array's geometry).
+            The candidate circuits (all with this array's geometry): any
+            sequence, or a :class:`~repro.array.genotype.Population`, whose
+            one spec is checked once.
         reference:
             ``(H, W)`` reference image the fitness unit compares against,
             of any dtype.
@@ -403,12 +405,15 @@ class SystolicArray:
             raise ValueError(f"planes must have shape (9, H, W), got {planes.shape}")
         if planes.dtype != np.uint8:
             raise TypeError(f"planes must be uint8, got {planes.dtype}")
-        genotypes = list(genotypes)
+        if isinstance(genotypes, Population):
+            specs = [genotypes.spec]
+        else:
+            genotypes = list(genotypes)
+            specs = [genotype.spec for genotype in genotypes]
         if not genotypes:
             raise ValueError("genotypes must contain at least one candidate")
         rows, cols = self.geometry.rows, self.geometry.cols
-        for genotype in genotypes:
-            spec = genotype.spec
+        for spec in specs:
             if (spec.rows, spec.cols) != (rows, cols):
                 raise ValueError(
                     f"genotype geometry {spec.rows}x{spec.cols} does not match "

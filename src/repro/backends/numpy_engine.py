@@ -71,6 +71,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.array.genotype import Population
 from repro.array.pe_library import FUNCTION_ARITY, N_FUNCTIONS, PEFunction
 from repro.backends.base import EvaluationBackend
 
@@ -224,6 +225,18 @@ if hasattr(os, "register_at_fork"):  # pragma: no cover - POSIX only
     os.register_at_fork(after_in_child=_forget_slabs_in_child)
 
 
+def _immutable(planes: np.ndarray) -> bool:
+    """Whether ``planes`` views an immutable ``bytes`` buffer.
+
+    Such an array can never be made writeable, so its values are fixed
+    for its lifetime.
+    """
+    base = planes
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return isinstance(base, bytes)
+
+
 class _PlaneStore:
     """Persistent hash-cons store for one training-plane set.
 
@@ -232,8 +245,9 @@ class _PlaneStore:
     plane no candidate has demanded yet (``specs[id]`` then holds its
     ``(gene, west, north)`` recipe).  The store is only ever consulted for
     the exact plane array it was built from (``snapshot`` guards against
-    in-place mutation), so a signature hit is guaranteed to reproduce the
-    reference computation.
+    in-place mutation; planes over an immutable ``bytes`` buffer cannot be
+    mutated and need no snapshot), so a signature hit is guaranteed to
+    reproduce the reference computation.
 
     Materialised node planes live in slots of pooled slabs (see
     :meth:`slot`); the store hands its slabs back to the pool when it
@@ -265,9 +279,9 @@ class _PlaneStore:
 
     def __init__(self, planes: np.ndarray, budget: int) -> None:
         self.planes = planes
-        self.snapshot = planes.tobytes()
+        self.snapshot = None if _immutable(planes) else planes.tobytes()
         self.intern: Dict[int, int] = {}
-        self.cand_intern: Dict[Tuple, int] = {}
+        self.cand_intern: Dict[bytes, int] = {}
         self.values: List[Optional[np.ndarray]] = []
         self.specs: Dict[int, Tuple[int, int, int]] = {}
         # Window-plane input nodes, one per mux selection.
@@ -308,7 +322,9 @@ class _PlaneStore:
     def matches(self, planes: np.ndarray) -> bool:
         # Identity pins the object (the held reference keeps its id from
         # being recycled); the byte compare catches in-place mutation.
-        return self.planes is planes and self.snapshot == planes.tobytes()
+        return self.planes is planes and (
+            self.snapshot is None or self.snapshot == planes.tobytes()
+        )
 
 
 class NumpyBackend(EvaluationBackend):
@@ -418,7 +434,7 @@ class NumpyBackend(EvaluationBackend):
         reference = np.asarray(reference)
         if reference.dtype != np.uint8:
             return super().evaluate_population(array, planes, genotypes, reference)
-        fits, _ = self._evaluate(array, planes, list(genotypes), reduce_ref=reference)
+        fits, _ = self._evaluate(array, planes, genotypes, reduce_ref=reference)
         self._release_over_budget(planes)
         return fits
 
@@ -429,8 +445,10 @@ class NumpyBackend(EvaluationBackend):
         genotypes: Sequence["Genotype"],
         reduce_ref: Optional[np.ndarray] = None,
     ):
-        cols = array.geometry.cols
-        n = len(genotypes)
+        rows, cols = array.geometry.rows, array.geometry.cols
+        population = Population.of(genotypes)
+        keys, outputs = population.keys, population.outputs
+        n = len(keys)
         h, w = planes.shape[1:]
 
         # Fault draws happen up front, one (n, H, W) block per position in
@@ -447,7 +465,7 @@ class NumpyBackend(EvaluationBackend):
         # The packed signatures give node ids 21 bits; _release_over_budget
         # bounds a kept store, and this guard bounds what one call can add,
         # so an id can never collide with the _NO_NORTH sentinel.
-        n_pes = array.geometry.rows * cols
+        n_pes = rows * cols
         if len(store.values) + n * n_pes >= _NO_NORTH:
             raise ValueError(
                 f"batch of {n} candidates could exhaust the numpy backend's "
@@ -601,26 +619,24 @@ class NumpyBackend(EvaluationBackend):
         # sharing most of their genes) resume from the snapshot after their
         # common prefix instead of re-walking it.  Never used on a faulty
         # array, where the walk embeds per-candidate draw ids.
-        ref_genes: Optional[Tuple[bytes, bytes, bytes]] = None
+        ref_key: Optional[bytes] = None
         ref_depth = -1
         ref_east: List[int] = []
         ref_north: List[List[int]] = []
+        # Each key is the candidate's gene bytes (function genes row-major,
+        # then west and north muxes) plus its output row: one byte string
+        # that is the memo key and makes prefix comparisons C-speed slices.
+        west0 = n_pes
+        north0, north1 = n_pes + rows, n_pes + rows + cols
 
-        for b, genotype in enumerate(genotypes):
-            # Gene bookkeeping runs over the raw gene bytes: uint8 arrays
-            # expose their values directly through tobytes(), which doubles
-            # as the memo key and makes prefix comparisons C-speed slices.
-            fg_b = genotype.function_genes.tobytes()
-            w_b = genotype.west_mux.tobytes()
-            n_b = genotype.north_mux.tobytes()
-            out_row = genotype.output_select
+        for b, key in enumerate(keys):
+            out_row = outputs[b]
             # Whole-candidate memo: under low mutation rates the same
             # offspring genotype recurs across generations, so the walk
             # below is skipped entirely on a repeat.  (Faulty arrays never
             # take this path — their outputs embed per-call random draws.)
             if fault_free:
-                cand_key = (fg_b, w_b, n_b, out_row)
-                vid = cand_intern_get(cand_key)
+                vid = cand_intern_get(key)
                 if vid is not None:
                     if reduce_mode:
                         pend_fitness(b, vid)
@@ -631,14 +647,13 @@ class NumpyBackend(EvaluationBackend):
             start_row = 0
             walk = True
             north_ids: Optional[List[int]] = None
-            if ref_genes is not None and n_b == ref_genes[2]:
-                ref_fg, ref_w = ref_genes[0], ref_genes[1]
+            if ref_key is not None and key[north0:north1] == ref_key[north0:north1]:
                 match = 0
                 while match <= out_row:
                     base = match * cols
                     if (
-                        w_b[match] != ref_w[match]
-                        or fg_b[base : base + cols] != ref_fg[base : base + cols]
+                        key[west0 + match] != ref_key[west0 + match]
+                        or key[base : base + cols] != ref_key[base : base + cols]
                     ):
                         break
                     match += 1
@@ -652,13 +667,13 @@ class NumpyBackend(EvaluationBackend):
                     if start_row:
                         north_ids = ref_north[start_row - 1].copy()
             if walk:
-                record = fault_free and ref_genes is None
+                record = fault_free and ref_key is None
                 if north_ids is None:
-                    north_ids = [input_ids[n_b[c]] for c in range(cols)]
+                    north_ids = [input_ids[key[north0 + c]] for c in range(cols)]
                 # Dead-PE elimination: rows below the selected output row
                 # cannot reach the output PE, so the sweep stops at out_row.
                 for r in range(start_row, out_row + 1):
-                    vid = input_ids[w_b[r]]
+                    vid = input_ids[key[west0 + r]]
                     base = r * cols
                     for c in range(cols):
                         if not fault_free and (r, c) in fault_planes:
@@ -667,7 +682,7 @@ class NumpyBackend(EvaluationBackend):
                             vid = next_call_id
                             north_ids[c] = vid
                             continue
-                        gene = fg_b[base + c]
+                        gene = key[base + c]
                         if arity2[gene]:
                             nid = north_ids[c]
                             if vid >= 0 and nid >= 0:
@@ -720,10 +735,10 @@ class NumpyBackend(EvaluationBackend):
                         ref_east.append(vid)
                         ref_north.append(north_ids.copy())
                 if record:
-                    ref_genes = (fg_b, w_b, n_b)
+                    ref_key = key
                     ref_depth = out_row
             if fault_free:
-                cand_intern[cand_key] = vid
+                cand_intern[key] = vid
             if reduce_mode:
                 # Pure store nodes (vid >= 0 — even on a faulty array, when
                 # no fault reached the selected output) are memoisable and

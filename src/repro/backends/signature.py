@@ -10,9 +10,13 @@ memos by two conventions defined here:
   inlined in its walk loop for speed; this module is the normative
   definition, and ``tests/backends/test_signature_parity.py`` pins the
   inlined copy to it.
-* **Whole-candidate keys** — a genotype's raw gene bytes plus its output
-  row (:func:`candidate_key`), the key of the engine's ``cand_intern``
-  memo.
+* **Whole-candidate keys** — a genotype's gene bytes (function genes
+  row-major, west muxes, north muxes) followed by its output row as 4
+  little-endian bytes (:func:`candidate_bytes`).  One byte string keys
+  the engine's ``cand_intern`` memo, the pipeline's in-process tier and,
+  completed below, the persistent tier.  Every caller reads it from
+  :attr:`repro.array.genotype.Population.keys`: the byte buffer behind a
+  population's gene matrix, sliced once per row.
 
 On top of these, :func:`fitness_key` derives the *persistent* fitness
 signature used by the cross-run cache tier
@@ -21,23 +25,21 @@ over the gene bytes, the array geometry, the training-plane and
 reference-image content digests, and the fault taint.  Everything but
 the gene bytes is fixed within one evaluation scope, so
 :func:`fitness_key_prefix` hashes it once and a caller keying many
-candidates copies that hasher per candidate.  The derivation is
-documented in ``docs/determinism.md`` and versioned by
-:data:`FITNESS_KEY_VERSION` — bump it whenever any keyed ingredient
-changes meaning, so stale caches miss instead of lying.
+candidates copies that hasher per candidate and feeds it the
+candidate's key.  The derivation is documented in
+``docs/determinism.md`` and versioned by :data:`FITNESS_KEY_VERSION` —
+bump it whenever any keyed ingredient changes meaning, so stale caches
+miss instead of lying.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
+from repro.array.genotype import Genotype, Population
 from repro.array.pe_library import N_FUNCTIONS, PEFunction
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.array.genotype import Genotype
 
 __all__ = [
     "COMMUTATIVE",
@@ -46,7 +48,6 @@ __all__ = [
     "NO_NORTH",
     "array_digest",
     "candidate_bytes",
-    "candidate_key",
     "fitness_key",
     "fitness_key_prefix",
     "pack_signature",
@@ -97,31 +98,14 @@ def pack_signature(gene: int, west: int, north: int = NO_NORTH) -> int:
     return ((west << 21) | north) << 4 | gene
 
 
-def candidate_key(genotype: "Genotype") -> Tuple[bytes, bytes, bytes, int]:
-    """The whole-candidate memo key: raw gene bytes plus the output row.
+def candidate_bytes(genotype: Genotype) -> bytes:
+    """A candidate's memo key: its gene bytes plus its output row (4 bytes, LE).
 
-    uint8 gene arrays expose their values directly through ``tobytes()``,
-    which doubles as the memo key and makes prefix comparisons C-speed
-    slices — the key of the engine's ``cand_intern`` memo.
+    The key of a one-candidate :class:`~repro.array.genotype.Population`,
+    so it is byte-identical to the key the drivers' generation matrix
+    gives the same genotype.
     """
-    return (
-        genotype.function_genes.tobytes(),
-        genotype.west_mux.tobytes(),
-        genotype.north_mux.tobytes(),
-        genotype.output_select,
-    )
-
-
-def candidate_bytes(genotype: "Genotype") -> bytes:
-    """A candidate's genes as one flat byte string (fixed-width output row)."""
-    return b"".join(
-        (
-            genotype.function_genes.tobytes(),
-            genotype.west_mux.tobytes(),
-            genotype.north_mux.tobytes(),
-            genotype.output_select.to_bytes(4, "little"),
-        )
-    )
+    return Population.of([genotype]).keys[0]
 
 
 def array_digest(values: np.ndarray) -> str:
@@ -143,8 +127,8 @@ def fitness_key_prefix(
 ):
     """The SHA-256 hasher of a fitness key after its fixed fields.
 
-    Feeding it a candidate's :func:`candidate_bytes` (on a ``copy()``, so
-    the prefix can be reused) completes :func:`fitness_key`.
+    Feeding it a candidate's key (:func:`candidate_bytes`, on a
+    ``copy()``, so the prefix can be reused) completes :func:`fitness_key`.
     """
     return hashlib.sha256(
         f"fitness/v{FITNESS_KEY_VERSION}/{rows}x{cols}/{planes_digest}/{reference_digest}"
@@ -157,7 +141,7 @@ def fitness_key(
     cols: int,
     planes_digest: str,
     reference_digest: str,
-    genotype: "Genotype",
+    genotype: Genotype,
     fault_taint: bool = False,
 ) -> str:
     """The canonical candidate fitness signature (persistent-tier key).

@@ -11,11 +11,15 @@ all of them share the same building blocks:
   number of PE positions whose function gene differs from what is currently
   configured on that array — exactly what the shared reconfiguration engine
   would have to rewrite;
-* every generation is one population step: the λ offspring are drawn
-  together (:func:`~repro.ea.mutation.mutate_population`), each array
-  accounts the placement of its share in one vectorised diff, and each
-  array scores its share through the fused
-  :meth:`ArrayEvalContext.fitness_population` entry point;
+* every generation is one population step over one gene matrix: the λ
+  offspring are drawn together as the rows of a read-only
+  :class:`~repro.array.genotype.Population`
+  (:func:`~repro.ea.mutation.mutate_population`), their placement on the
+  arrays is accounted in one vectorised diff over its function-gene
+  columns, and each array scores its share through the fused
+  :meth:`ArrayEvalContext.fitness_population` entry point; only an
+  accepted offspring becomes a :class:`~repro.array.genotype.Genotype`
+  object of its own;
 * placement order and parallel evaluation follow the Fig. 11 schedule, and
   the platform time of the run is accounted by a
   :class:`~repro.core.scheduler.GenerationScheduler`;
@@ -35,12 +39,13 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.array.genotype import Genotype
+from repro.array.genotype import Genotype, Population
 from repro.array.window import extract_windows
 from repro.backends.fitness_cache import PersistentFitnessCache
 from repro.core.modes import CascadeFitnessMode, CascadeSchedule
@@ -48,7 +53,7 @@ from repro.core.platform import EvolvableHardwarePlatform
 from repro.core.scheduler import GenerationScheduler
 # ``mutate`` is not called here; it stays importable from this module because
 # the scoreboard's span tracer patches it by name.
-from repro.ea.mutation import MutationResult, mutate, mutate_population  # noqa: F401
+from repro.ea.mutation import Generation, mutate, mutate_population  # noqa: F401
 from repro.ea.pipeline import FitnessPipeline, resolve_persistent_cache
 from repro.imaging.metrics import sae
 from repro.timing.model import EvolutionTimingModel
@@ -112,6 +117,16 @@ class PlatformEvolutionResult:
         return np.asarray(self.fitness_history.get(array_index, []), dtype=np.float64)
 
 
+def _frozen_windows(image: np.ndarray) -> np.ndarray:
+    """The window planes of ``image`` over an immutable buffer.
+
+    Planes that can never change spare the backend's plane stores their
+    per-call byte compare against in-place edits.
+    """
+    planes = extract_windows(image)
+    return np.frombuffer(planes.tobytes(), dtype=np.uint8).reshape(planes.shape)
+
+
 class ArrayEvalContext:
     """Cached evaluation context for one array and one training image.
 
@@ -136,47 +151,58 @@ class ArrayEvalContext:
         self.array_index = array_index
         self.acb = platform.acb(array_index)
         self.training_image = np.asarray(training_image)
-        self.planes = extract_windows(self.training_image)
-        # Function genes currently placed on the array's fabric regions.
-        self.placed_functions = platform.fabric.configured_genes(array_index).astype(np.int16)
+        self.planes = _frozen_windows(self.training_image)
+        # Function genes currently placed on the array's fabric regions (a
+        # region holding no function, -1, reads 255: never a function gene).
+        self.placed_functions = platform.fabric.configured_genes(array_index).astype(np.uint8)
         self.pipeline = FitnessPipeline(self.acb.array, persistent=fitness_cache)
         self.acb.sync_faults()
 
     def retarget(self, training_image: np.ndarray) -> None:
         """Switch the training image (cascaded evolution stages)."""
         self.training_image = np.asarray(training_image)
-        self.planes = extract_windows(self.training_image)
+        self.planes = _frozen_windows(self.training_image)
         # Cached fitnesses were computed on the previous planes.
         self.pipeline.invalidate()
 
     def reconfiguration_count(self, genotype: Genotype) -> int:
         """PE writes needed to place ``genotype`` given what is on the array."""
-        wanted = genotype.function_genes.astype(np.int16)
-        return int(np.count_nonzero(wanted != self.placed_functions))
+        return int(np.count_nonzero(genotype.function_genes != self.placed_functions))
 
     def place(self, genotype: Genotype) -> int:
         """Account the placement of ``genotype`` and return its PE-write count."""
         count = self.reconfiguration_count(genotype)
-        self.placed_functions = genotype.function_genes.astype(np.int16)
+        self.placed_functions = np.array(genotype.function_genes, dtype=np.uint8)
         return count
 
-    def place_population(self, genotypes: Sequence[Genotype]) -> List[int]:
-        """Account placing ``genotypes`` in order; returns each PE-write count.
+    def place_population(
+        self, genotypes: Sequence[Genotype], others: Sequence["ArrayEvalContext"] = ()
+    ) -> List[int]:
+        """Account placing ``genotypes`` round-robin; returns each PE-write count.
 
-        One vectorised pass over the stacked function genes, identical to
-        calling :meth:`place` candidate by candidate (each candidate is
-        diffed against its predecessor on this array).
+        Candidate ``i`` goes on array ``i % n`` of ``(self, *others)``, in
+        candidate order.  Each candidate is diffed against its predecessor
+        on the same array: the genes already placed there, or the previous
+        candidate placed there.  That is one vectorised compare over the
+        function-gene columns of the candidates' gene matrix (a
+        :class:`~repro.array.genotype.Population` is used as is), identical
+        to calling :meth:`place` candidate by candidate on each array.
         """
         if not genotypes:
             return []
-        rows, cols = self.placed_functions.shape
-        stack = np.empty((len(genotypes) + 1, rows, cols), dtype=np.int16)
-        stack[0] = self.placed_functions
-        for index, genotype in enumerate(genotypes):
-            stack[index + 1] = genotype.function_genes
-        counts = np.count_nonzero(stack[1:] != stack[:-1], axis=(1, 2))
-        self.placed_functions = stack[-1]
-        return counts.tolist()
+        functions = Population.of(genotypes).functions
+        n = len(functions)
+        arrays = (self, *others)[:n]  # the arrays that receive a candidate
+        n_slots = len(others) + 1
+        previous = np.concatenate(
+            [array.placed_functions.reshape(1, -1) for array in arrays] + [functions[:-n_slots]]
+        )
+        counts = np.add.reduce(functions != previous, axis=1, dtype=np.intp).tolist()
+        shape = self.placed_functions.shape
+        for slot, array in enumerate(arrays):
+            last = slot + (n - 1 - slot) // n_slots * n_slots
+            array.placed_functions = functions[last].reshape(shape)
+        return counts
 
     def output(self, genotype: Genotype) -> np.ndarray:
         """Array output for ``genotype`` on the cached training image."""
@@ -198,6 +224,45 @@ class ArrayEvalContext:
         already known.
         """
         return self.pipeline.evaluate_population(self.planes, genotypes, reference)
+
+
+class OffspringPlan(Sequence):
+    """One generation's offspring and the array slot each is placed on.
+
+    Offspring ``i`` goes to slot ``i % n_slots``, so a slot's successive
+    candidates are every ``n_slots``-th row of the generation's gene
+    matrix (:attr:`population`).  Items are ``(slot, MutationResult)``
+    pairs, built on demand; the generation step itself reads only the
+    matrix.
+    """
+
+    def __init__(self, generation: Generation, n_slots: int) -> None:
+        self.generation = generation
+        self.population = generation.population
+        self.n_slots = n_slots
+
+    def __len__(self) -> int:
+        return len(self.generation)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        mutation = self.generation[index]
+        return index % len(self) % self.n_slots, mutation
+
+    def per_slot(self, fn: Callable[[int, Population], Sequence]) -> List:
+        """Apply ``fn(slot, share)`` to each slot's rows, in plan order.
+
+        ``share`` is the sub-population of the slot's candidates, and the
+        per-slot results are scattered back into plan-order positions.
+        """
+        n_slots = self.n_slots
+        if n_slots == 1:
+            return list(fn(0, self.population))
+        values: List = [None] * len(self)
+        for slot in range(min(n_slots, len(self))):
+            values[slot::n_slots] = fn(slot, self.population.take(range(slot, len(self), n_slots)))
+        return values
 
 
 class EvolutionDriver:
@@ -358,39 +423,20 @@ class EvolutionDriver:
 
     def _generation_offspring(
         self, parent: Genotype, contexts: Sequence[ArrayEvalContext]
-    ) -> List[Tuple[int, MutationResult]]:
-        """Produce the generation's offspring as (array_slot, mutation) pairs.
+    ) -> OffspringPlan:
+        """Produce the generation's offspring plan.
 
         The classic EA mutates every offspring directly from the parent with
         the nominal mutation rate, drawn as one population; offspring are
         assigned to the ``contexts`` round-robin in batches of
         ``len(contexts)``.
         """
-        mutations = mutate_population(parent, self.mutation_rate, self.rng, self.n_offspring)
-        return [(position % len(contexts), mutation) for position, mutation in enumerate(mutations)]
+        generation = mutate_population(parent, self.mutation_rate, self.rng, self.n_offspring)
+        return OffspringPlan(generation, len(contexts))
 
     @staticmethod
-    def _per_slot(plan, fn) -> List:
-        """Apply ``fn(slot, genotypes)`` per array slot, in plan order.
-
-        Each slot sees its candidates in plan order, and the per-slot
-        results are scattered back into plan-order positions.
-        """
-        values: List = [None] * len(plan)
-        per_slot: Dict[int, List[int]] = {}
-        for index, (slot, _) in enumerate(plan):
-            per_slot.setdefault(slot, []).append(index)
-        for slot, indices in per_slot.items():
-            results = fn(slot, [plan[index][1].genotype for index in indices])
-            for index, value in zip(indices, results):
-                values[index] = value
-        return values
-
     def _evaluate_plan(
-        self,
-        contexts: Sequence[ArrayEvalContext],
-        plan: Sequence[Tuple[int, MutationResult]],
-        reference: np.ndarray,
+        contexts: Sequence[ArrayEvalContext], plan: OffspringPlan, reference: np.ndarray
     ) -> List[float]:
         """Fitness of every planned offspring, in plan order.
 
@@ -402,11 +448,9 @@ class EvolutionDriver:
             # Healthy arrays are functionally identical and fault-free
             # evaluation consumes no RNG, so the whole generation can be
             # scored as one population without perturbing any random stream.
-            genotypes = [mutation.genotype for _, mutation in plan]
-            return contexts[0].fitness_population(genotypes, reference)
-        return self._per_slot(
-            plan,
-            lambda slot, genotypes: contexts[slot].fitness_population(genotypes, reference),
+            return contexts[0].fitness_population(plan.population, reference)
+        return plan.per_slot(
+            lambda slot, share: contexts[slot].fitness_population(share, reference)
         )
 
     def _generation(
@@ -416,25 +460,24 @@ class EvolutionDriver:
         parent_fitness: float,
         scheduler: GenerationScheduler,
         result: PlatformEvolutionResult,
-        score: Callable[[Sequence[Tuple[int, MutationResult]]], List[float]],
+        score: Callable[[OffspringPlan], List[float]],
     ) -> Tuple[Genotype, float]:
         """One generation step; returns the (possibly replaced) parent.
 
         Draws the offspring plan, accounts each array's placements, scores
-        the plan through ``score(plan)`` and applies the
-        (1+λ) acceptance rule to the first strictly-best offspring.
+        the plan through ``score(plan)`` and applies the (1+λ) acceptance
+        rule to the first strictly-best offspring.  Only an accepted
+        offspring becomes a :class:`Genotype` object of its own.
         """
         plan = self._generation_offspring(parent, contexts)
-        offspring_counts = self._per_slot(
-            plan, lambda slot, genotypes: contexts[slot].place_population(genotypes)
-        )
+        offspring_counts = contexts[0].place_population(plan.population, contexts[1:])
         fitnesses = score(plan)
-        result.n_evaluations += len(plan)
+        result.n_evaluations += len(fitnesses)
         scheduler.record_generation(offspring_counts)
-        best_child, best_child_fitness = self._best_offspring(
-            [mutation for _, mutation in plan], fitnesses
-        )
-        if best_child is not None and self._accept(best_child_fitness, parent_fitness):
+        # min() keeps the first of equal values: the first strictly-best.
+        best_child_fitness = min(fitnesses)
+        if self._accept(best_child_fitness, parent_fitness):
+            best_child = plan.population.detached(fitnesses.index(best_child_fitness))
             return best_child, best_child_fitness
         return parent, parent_fitness
 
@@ -470,18 +513,6 @@ class EvolutionDriver:
             if target_fitness is not None and parent_fitness <= target_fitness:
                 break
         return parent, parent_fitness, history
-
-    @staticmethod
-    def _best_offspring(
-        mutations: Sequence[MutationResult], fitnesses: Sequence[float]
-    ) -> Tuple[Optional[Genotype], float]:
-        """First strictly-best offspring, in plan order."""
-        best_child: Optional[Genotype] = None
-        best_child_fitness = math.inf
-        for mutation, fitness in zip(mutations, fitnesses):
-            if fitness < best_child_fitness:
-                best_child, best_child_fitness = mutation.genotype, fitness
-        return best_child, best_child_fitness
 
 
 class IndependentEvolution(EvolutionDriver):
@@ -794,9 +825,9 @@ class CascadedEvolution(EvolutionDriver):
                 def score(plan):
                     return [
                         self._stage_fitness(
-                            contexts, parents, stage, m.genotype, stage_input, reference_image
+                            contexts, parents, stage, genotype, stage_input, reference_image
                         )
-                        for _, m in plan
+                        for genotype in plan.population
                     ]
 
             parents[stage], parent_fitness[stage] = self._generation(

@@ -20,7 +20,7 @@ harness reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.timing.model import EvolutionTimingModel
 
@@ -60,6 +60,9 @@ class GenerationScheduler:
     n_arrays: int
     n_pixels: int
     history: List[GenerationTiming] = field(default_factory=list)
+    #: Exposed software time by offspring reconfiguration count (see
+    #: :meth:`exposed_software_s`), filled on first use of each count.
+    _exposed: Dict[int, float] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_arrays < 1:
@@ -84,6 +87,24 @@ class GenerationScheduler:
         return len(self.history)
 
     # ------------------------------------------------------------------ #
+    def exposed_software_s(self, count: int) -> float:
+        """Software time an offspring with ``count`` PE writes adds to its slot.
+
+        Mutation software time is overlapped with the previous candidate's
+        hardware activity (its reconfiguration and its share of the batch
+        evaluation); only the excess is charged.  The term depends on the
+        count alone, so each count's value is computed once per scheduler.
+        """
+        term = self._exposed.get(count)
+        if term is None:
+            model = self.timing_model
+            mutation = model.microblaze.mutation_time_s(max(1, count))
+            slot = model.reconfiguration_time_s(count) + model.evaluation_time_s(
+                self.n_pixels
+            ) / self.n_arrays
+            term = self._exposed[count] = mutation - slot if mutation > slot else 0.0
+        return term
+
     def record_generation(self, reconfigurations_per_offspring: Sequence[int]) -> GenerationTiming:
         """Account one generation given each offspring's reconfiguration count.
 
@@ -101,7 +122,7 @@ class GenerationScheduler:
         counts = [int(c) for c in reconfigurations_per_offspring]
         if not counts:
             raise ValueError("a generation must evaluate at least one offspring")
-        if any(c < 0 for c in counts):
+        if min(counts) < 0:
             raise ValueError("reconfiguration counts must be non-negative")
         model = self.timing_model
         n_offspring = len(counts)
@@ -109,17 +130,13 @@ class GenerationScheduler:
 
         reconfiguration_s = model.reconfiguration_time_s(sum(counts))
         evaluation_s = n_batches * model.evaluation_time_s(self.n_pixels)
-
-        # Mutation software time is overlapped with the previous candidate's
-        # hardware activity; only the excess is charged.
+        # Summed in offspring order from 0.0, so the float equals the
+        # per-offspring formula's bit for bit (a 0.0 term changes nothing).
+        exposed = self._exposed
         software_exposed = 0.0
         for count in counts:
-            mutation = model.microblaze.mutation_time_s(max(1, count))
-            slot = model.reconfiguration_time_s(count) + model.evaluation_time_s(
-                self.n_pixels
-            ) / self.n_arrays
-            if mutation > slot:
-                software_exposed += mutation - slot
+            term = exposed.get(count)
+            software_exposed += self.exposed_software_s(count) if term is None else term
         software_s = (
             software_exposed
             + model.microblaze.selection_time_s(n_offspring)

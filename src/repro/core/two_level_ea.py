@@ -25,11 +25,11 @@ better fitness (Fig. 15).
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 from repro.array.genotype import Genotype
-from repro.core.evolution import ParallelEvolution, ArrayEvalContext
-from repro.ea.mutation import MutationResult, population_mutator
+from repro.core.evolution import ArrayEvalContext, OffspringPlan, ParallelEvolution
+from repro.ea.mutation import population_mutator
 
 __all__ = ["TwoLevelMutationEvolution"]
 
@@ -64,7 +64,7 @@ class TwoLevelMutationEvolution(ParallelEvolution):
 
     def _generation_offspring(
         self, parent: Genotype, contexts: Sequence[ArrayEvalContext]
-    ) -> List[Tuple[int, MutationResult]]:
+    ) -> OffspringPlan:
         """Two-level offspring plan.
 
         Batch 0: one offspring per array, mutated from the generation's
@@ -78,7 +78,9 @@ class TwoLevelMutationEvolution(ParallelEvolution):
         so the whole generation is one ``(source, rate)`` plan handed to the
         shared :class:`~repro.ea.mutation.PopulationMutator`, which draws it
         from the driver's RNG in plan order as repeated
-        :func:`~repro.ea.mutation.mutate` calls would.
+        :func:`~repro.ea.mutation.mutate` calls would.  The source of
+        offspring ``o`` is also its predecessor on its slot, so placement
+        diffs it against that source.
         """
         n_slots = len(contexts)
         plan = [
@@ -86,5 +88,6 @@ class TwoLevelMutationEvolution(ParallelEvolution):
             else (position - n_slots, self.low_mutation_rate)
             for position in range(self.n_offspring)
         ]
-        mutations = population_mutator(parent.spec).offspring(parent, plan, self.rng)
-        return [(position % n_slots, mutation) for position, mutation in enumerate(mutations)]
+        return OffspringPlan(
+            population_mutator(parent.spec).offspring(parent, plan, self.rng), n_slots
+        )

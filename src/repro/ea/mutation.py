@@ -21,14 +21,16 @@ final state are identical to repeated :func:`mutate` calls.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.array.genotype import GeneKind, Genotype, GenotypeSpec
+from repro.array.genotype import GeneKind, Genotype, GenotypeSpec, Population
 
 __all__ = [
+    "Generation",
     "MutationResult",
     "mutate",
     "mutate_population",
@@ -176,9 +178,10 @@ class PopulationMutator:
     ``tests/property/test_population_properties.py`` pin this against the
     installed NumPy).
 
-    Children are rows of one ``(λ, n_genes - 1)`` uint8 matrix holding
-    every gene but the output select (a row index, kept as an ``int``);
-    their genotypes are unvalidated views of those rows.  One mutator per
+    The children come back as a :class:`Generation`: the rows of one
+    read-only ``(λ, n_genes - 1)`` uint8 matrix holding every gene but the
+    output select (a row index, kept as an ``int``), a
+    :class:`~repro.array.genotype.Population`.  One mutator per
     :class:`~repro.array.genotype.GenotypeSpec` is cached by
     :func:`population_mutator`.
     """
@@ -190,25 +193,44 @@ class PopulationMutator:
         self.alphabets: List[int] = [
             spec.gene_alphabet_size(index) for index in range(spec.n_genes)
         ]
-        self._pe_positions = [divmod(index, spec.cols) for index in range(spec.n_pes)]
         #: Genes whose new value takes no word (alphabets of at most two values).
         self._n_wordless = sum(1 for alphabet in self.alphabets if alphabet <= 2)
+        #: Per gene, the span of its new-value draw (``alphabet - 1``): 0 for
+        #: a two-value alphabet (no word, the value is 0) and -1 for a
+        #: one-value alphabet (nothing to change).
+        self._value_spans = [
+            alphabet - 1 if alphabet > 2 else alphabet - 2 for alphabet in self.alphabets
+        ]
         #: Lemire rejection threshold ``2**32 mod span`` for each draw span.
         self._thresholds = [0] + [
             _WORD % span for span in range(1, max(self.n_genes, *self.alphabets) + 1)
         ]
         #: ``choice`` shuffles a tail of ``arange(n)`` for rates above this.
         self._tail_shuffle_above = self.n_genes // 50 if self.n_genes > 10000 else self.n_genes
+        #: Per rate: the ``(j, span, threshold)`` of each Floyd pick, the
+        #: ``(span, threshold)`` of each shuffle step and the rate's word
+        #: budget (filled on first use; see :meth:`_rate_steps`).
+        self._steps: Dict[int, Tuple[List[Tuple[int, int, int]], List[Tuple[int, int]], int]] = {}
 
-    def _budget(self, n_mutations: int) -> int:
-        """Words one offspring consumes when no draw is rejected (a lower
-        bound when some alphabets are wordless)."""
-        n, k = self.n_genes, n_mutations
-        if k > self._tail_shuffle_above:
-            picks = n - max(n - k, 1)
-        else:
-            picks = (k - (k == n)) + (k - 1)
-        return picks + max(k - self._n_wordless, 0)
+    def _rate_steps(self, n_mutations: int):
+        """The draws of ``choice(n, n_mutations, replace=False)`` and the words
+        one offspring consumes when no draw is rejected (a lower bound when
+        some alphabets are wordless); checks the rate."""
+        steps = self._steps.get(n_mutations)
+        if steps is None:
+            n, k, thresholds = self.n_genes, n_mutations, self._thresholds
+            if not 1 <= k <= n:
+                raise ValueError(f"n_mutations must be in [1, {n}], got {k}")
+            if k > self._tail_shuffle_above:
+                picks = n - max(n - k, 1)
+            else:
+                picks = (k - (k == n)) + (k - 1)
+            steps = self._steps[k] = (
+                [(j, j + 1, thresholds[j + 1]) for j in range(max(n - k, 1), n)],
+                [(span, thresholds[span]) for span in range(k, 1, -1)],
+                picks + max(k - self._n_wordless, 0),
+            )
+        return steps
 
     def _tail_shuffle(
         self, n_mutations: int, words: List[int], pos: int, rng: np.random.Generator
@@ -230,7 +252,7 @@ class PopulationMutator:
         parent: Genotype,
         plan: Sequence[Tuple[int, int]],
         rng: np.random.Generator,
-    ) -> List["MutationResult"]:
+    ) -> "Generation":
         """Mutate one generation, bit-exact against repeated :func:`mutate`.
 
         ``plan`` holds one ``(source, rate)`` pair per offspring, in draw
@@ -240,54 +262,51 @@ class PopulationMutator:
         order, and ``rng`` ends in the same state.
         """
         n = self.n_genes
+        steps, rate_steps = self._steps, self._rate_steps
         n_words = 0
         for position, (source, rate) in enumerate(plan):
-            if not 1 <= rate <= n:
-                raise ValueError(f"n_mutations must be in [1, {n}], got {rate}")
+            n_words += (steps.get(rate) or rate_steps(rate))[2]
             if not -1 <= source < position:
                 raise ValueError(
                     f"offspring {position} must come from the parent (-1) or an "
                     f"earlier offspring, got source {source}"
                 )
-            n_words += self._budget(rate)
-        spec = self.spec
-        n_pes, rows, width = spec.n_pes, spec.rows, n - 1
+        width = n - 1
         # Every gene but the output select (a row index, which may exceed a
         # byte) as one byte string per child.
-        parent_genes = bytearray(
-            np.concatenate((parent.function_genes.reshape(-1), parent.west_mux, parent.north_mux))
-        )
+        parent_genes = bytearray(parent.function_genes.tobytes())
+        parent_genes += parent.west_mux.tobytes() + parent.north_mux.tobytes()
         parent_output = int(parent.output_select)
 
         alphabets, thresholds = self.alphabets, self._thresholds
-        pe_positions, n_wordless = self._pe_positions, self._n_wordless
+        value_spans, n_wordless = self._value_spans, self._n_wordless
         tail_shuffle_above = self._tail_shuffle_above
         words = _draw_words(rng, n_words)
         pos = 0
         children: List[bytearray] = []
         outputs: List[int] = []
-        changes: List[Tuple[List[int], List[Tuple[int, int]]]] = []
+        mutated: List[List[int]] = []
         for source, k in plan:
             if k > tail_shuffle_above:
                 picks, pos = self._tail_shuffle(k, words, pos, rng)
             else:
                 # Floyd's sampler: pick j is uniform on [0, j] (no word for
                 # j == 0); a pick already taken is replaced by j.
+                floyd, shuffle, _ = steps[k]
                 picks = [0] if k == n else []
-                for j in range(max(n - k, 1), n):
-                    product = words[pos] * (j + 1)
+                for j, span, threshold in floyd:
+                    product = words[pos] * span
                     pos += 1
-                    if product & 0xFFFFFFFF < thresholds[j + 1]:
-                        product, pos = _redraw(words, pos, j + 1, rng)
+                    if product & 0xFFFFFFFF < threshold:
+                        product, pos = _redraw(words, pos, span, rng)
                     value = product >> 32
                     picks.append(j if value in picks else value)
                 # choice() then shuffles the picks; mutate() sorts them, so
                 # only the words the shuffle consumes matter here.
-                for span in range(k, 1, -1):
-                    product = words[pos] * span
+                for span, threshold in shuffle:
                     pos += 1
-                    if product & 0xFFFFFFFF < thresholds[span]:
-                        product, pos = _redraw(words, pos, span, rng)
+                    if words[pos - 1] * span & 0xFFFFFFFF < threshold:
+                        _, pos = _redraw(words, pos, span, rng)
             picks.sort()
 
             if n_wordless:
@@ -298,44 +317,65 @@ class PopulationMutator:
                 genes, output = parent_genes[:], parent_output
             else:
                 genes, output = children[source][:], outputs[source]
-            changed_pe_positions: List[Tuple[int, int]] = []
             for index in picks:
-                alphabet = alphabets[index]
-                if alphabet <= 1:
-                    continue  # degenerate alphabet (1x1 arrays): nothing to change
-                value = 0
-                if alphabet > 2:
-                    product = words[pos] * (alphabet - 1)
+                span = value_spans[index]
+                if span > 0:
+                    product = words[pos] * span
                     pos += 1
-                    if product & 0xFFFFFFFF < thresholds[alphabet - 1]:
-                        product, pos = _redraw(words, pos, alphabet - 1, rng)
+                    if product & 0xFFFFFFFF < thresholds[span]:
+                        product, pos = _redraw(words, pos, span, rng)
                     value = product >> 32
+                elif span == 0:
+                    value = 0
+                else:
+                    continue  # degenerate alphabet (1x1 arrays): nothing to change
                 # Draw a *different* value so every mutation is effective.
                 if index < width:
                     genes[index] = value + (value >= genes[index])
-                    if index < n_pes:
-                        changed_pe_positions.append(pe_positions[index])
                 else:
                     output = value + (value >= output)
             children.append(genes)
             outputs.append(output)
-            changes.append((picks, changed_pe_positions))
+            mutated.append(picks)
 
-        matrix = np.frombuffer(bytearray().join(children), dtype=np.uint8)
-        matrix = matrix.reshape(len(children), width)
-        functions = matrix[:, :n_pes].reshape(len(children), rows, spec.cols)
-        west = matrix[:, n_pes : n_pes + rows]
-        north = matrix[:, n_pes + rows :]
-        results: List[MutationResult] = []
-        for row, (picks, changed_pe_positions) in enumerate(changes):
-            genotype = object.__new__(Genotype)
-            genotype.spec = spec
-            genotype.function_genes = functions[row]
-            genotype.west_mux = west[row]
-            genotype.north_mux = north[row]
-            genotype.output_select = outputs[row]
-            results.append(MutationResult(genotype, picks, changed_pe_positions))
-        return results
+        population = Population(self.spec, b"".join(children), outputs)
+        return Generation(population, mutated)
+
+
+class Generation(Sequence):
+    """One generation of offspring, as a sequence of :class:`MutationResult`.
+
+    The offspring themselves are the rows of :attr:`population`, one
+    read-only gene matrix; the evolution drivers place and score them in
+    that form.  Item ``i`` is built on first access, with a writable copy
+    of row ``i`` as its genotype, so a caller that edits an offspring in
+    place changes neither the matrix nor any sibling.
+    """
+
+    __slots__ = ("population", "_mutated", "_results")
+
+    def __init__(self, population: Population, mutated: Sequence[List[int]]) -> None:
+        self.population = population
+        #: Each child's sorted mutated gene indices.
+        self._mutated = mutated
+        self._results: List[Optional[MutationResult]] = [None] * len(mutated)
+
+    def __len__(self) -> int:
+        return len(self._mutated)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        result = self._results[index]
+        if result is None:
+            spec = self.population.spec
+            picks = self._mutated[index]
+            result = self._results[index] = MutationResult(
+                self.population.detached(index),
+                picks,
+                [divmod(gene, spec.cols) for gene in picks if gene < spec.n_pes],
+            )
+        return result
 
 
 #: One mutator per genotype spec (specs are tiny frozen dataclasses).
@@ -355,15 +395,17 @@ def mutate_population(
     n_mutations: int,
     rng: Union[int, np.random.Generator, None],
     n_offspring: int,
-) -> List[MutationResult]:
+) -> Generation:
     """A whole generation of offspring in one call, bit-exact vs :func:`mutate`.
 
-    Returns the same :class:`MutationResult` objects (same genotypes, same
+    Returns a :class:`Generation` whose items equal the
+    :class:`MutationResult` objects (same genotypes, same
     ``mutated_indices``/``changed_pe_positions``, same RNG stream
-    consumption) as ``[mutate(parent, n_mutations, rng) for _ in
+    consumption) of ``[mutate(parent, n_mutations, rng) for _ in
     range(n_offspring)]``, drawn from one block of generator words by
     :class:`PopulationMutator`.  This is the offspring-construction half of
-    the drivers' generation step.
+    the drivers' generation step, which reads the offspring as the rows of
+    :attr:`Generation.population`.
     """
     if n_offspring < 1:
         raise ValueError(f"n_offspring must be >= 1, got {n_offspring}")

@@ -22,8 +22,8 @@ unit does:
 2. **In-process cache tier.**  A per-pipeline
    :class:`~repro.backends.fitness_cache.FitnessCache` of
    :data:`CACHE_ENTRIES` entries, evicted oldest first, keyed by the
-   canonical candidate signature
-   (:func:`repro.backends.signature.candidate_key`) and cleared whenever
+   candidate's gene bytes
+   (:attr:`repro.array.genotype.Population.keys`) and cleared whenever
    the (planes, reference) pair changes.  Serving a hit is
    value-transparent: entries only ever hold the exact value a full
    evaluation produced.
@@ -51,8 +51,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.array.genotype import Population
 from repro.backends.fitness_cache import FitnessCache, PersistentFitnessCache
-from repro.backends.signature import array_digest, candidate_key, fitness_key_prefix
+from repro.backends.signature import array_digest, fitness_key_prefix
 
 __all__ = ["FitnessPipeline", "resolve_persistent_cache"]
 
@@ -157,26 +158,33 @@ class FitnessPipeline:
         genotypes: Sequence,
         reference: np.ndarray,
     ) -> List[float]:
-        """Exact fitness of each candidate, in order, through the staged pipeline."""
-        genotypes = list(genotypes)
+        """Exact fitness of each candidate, in order, through the staged pipeline.
+
+        ``genotypes`` is any sequence of genotypes; the drivers pass their
+        generation as one :class:`~repro.array.genotype.Population`, whose
+        keys every tier reads.
+        """
+        if not isinstance(genotypes, Population):
+            genotypes = list(genotypes)
         if not genotypes:
             return []
+        population = Population.of(genotypes)
         array = self.array
         reference = np.asarray(reference)
         if array.n_faults:
             # Stage 1: fault-tainted evaluations consume per-position RNG
             # streams and must run in full, uncached — but counted.
-            self.cache.bypass(len(genotypes))
-            self.full_evaluations += len(genotypes)
-            values = array.evaluate_population(planes, genotypes, reference)
-            return [float(value) for value in values]
+            self.cache.bypass(len(population))
+            self.full_evaluations += len(population)
+            values = array.evaluate_population(planes, population, reference)
+            return np.asarray(values, dtype=np.float64).tolist()
 
         self._enter_scope(planes, reference)
         cache = self.cache
-        keys = [candidate_key(genotype) for genotype in genotypes]
-        values: List[Optional[float]] = [None] * len(genotypes)
+        keys = population.keys
+        values: List[Optional[float]] = [None] * len(keys)
         misses: List[int] = []
-        pending: Dict[Tuple, int] = {}
+        pending: Dict[bytes, int] = {}
         for index, key in enumerate(keys):
             if key in pending:
                 # Duplicate within the batch: served from its first
@@ -192,16 +200,14 @@ class FitnessPipeline:
                 values[index] = value
 
         # Stage 3: the persistent cross-run tier.  Each key is the scope's
-        # prefix completed by the candidate's gene bytes (candidate_bytes,
-        # rebuilt from the memo key already in hand).
+        # prefix completed by the candidate's key bytes.
         staged: Dict[str, float] = {}
         if misses and self.persistent is not None:
             prefix = self._scope_key_prefix(planes, reference)
             persist_keys = {}
             for index in misses:
-                genes, west, north, output = keys[index]
                 digest = prefix.copy()
-                digest.update(b"".join((genes, west, north, output.to_bytes(4, "little"))))
+                digest.update(keys[index])
                 persist_keys[index] = digest.hexdigest()
             found = self.persistent.lookup(persist_keys.values())
             self.persistent_hits += len(found)
@@ -221,11 +227,12 @@ class FitnessPipeline:
         # Whatever no tier served is evaluated in full.
         if misses:
             computed = array.evaluate_population(
-                planes, [genotypes[index] for index in misses], reference
+                planes,
+                population if len(misses) == len(keys) else population.take(misses),
+                reference,
             )
             self.full_evaluations += len(misses)
-            for index, value in zip(misses, computed):
-                value = float(value)
+            for index, value in zip(misses, np.asarray(computed, dtype=np.float64).tolist()):
                 cache.put(keys[index], value)
                 values[index] = value
                 if persist_keys:

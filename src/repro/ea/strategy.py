@@ -145,6 +145,10 @@ class OnePlusLambdaES:
     ) -> None:
         if n_offspring < 1:
             raise ValueError(f"n_offspring must be >= 1, got {n_offspring}")
+        if mutation_operator is None and not 1 <= mutation_rate <= spec.n_genes:
+            # Checked before any run evaluates or fires a hook, as the
+            # platform drivers do; a custom operator defines its own rates.
+            raise ValueError(f"mutation_rate must be in [1, {spec.n_genes}], got {mutation_rate}")
         if mutation_rate < 1:
             raise ValueError(f"mutation_rate must be >= 1, got {mutation_rate}")
         self.evaluate = evaluate

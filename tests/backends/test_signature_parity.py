@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.array.genotype import Genotype, GenotypeSpec
+from repro.array.genotype import Genotype, GenotypeSpec, Population
 from repro.array.systolic_array import SystolicArray
 from repro.array.window import extract_windows
 from repro.backends.fitness_cache import index_line
@@ -24,11 +24,11 @@ from repro.backends.signature import (
     NO_NORTH,
     array_digest,
     candidate_bytes,
-    candidate_key,
     fitness_key,
     fitness_key_prefix,
     pack_signature,
 )
+from repro.ea.mutation import mutate_population
 
 
 @pytest.fixture
@@ -90,12 +90,12 @@ class TestPackSignature:
 
 
 # --------------------------------------------------------------------------- #
-# Whole-candidate memo keys: the engine interns under candidate_key
+# Whole-candidate memo keys: the engine interns under candidate_bytes
 # --------------------------------------------------------------------------- #
 class TestCandidateKeyParity:
     def test_engines_intern_identical_candidate_keys(self, workload):
         planes, reference, genotypes = workload
-        expected = {candidate_key(genotype) for genotype in genotypes}
+        expected = {candidate_bytes(genotype) for genotype in genotypes}
 
         numpy_backend = NumpyBackend()
         numpy_array = SystolicArray(backend=numpy_backend)
@@ -112,17 +112,29 @@ class TestCandidateKeyParity:
         ):
             other = base.copy()
             mutate(other)
-            assert candidate_key(other) != candidate_key(base)
+            assert candidate_bytes(other) != candidate_bytes(base)
         shifted = base.copy()
         shifted.output_select = (base.output_select + 1) % 4
-        assert candidate_key(shifted) != candidate_key(base)
+        assert candidate_bytes(shifted) != candidate_bytes(base)
 
     def test_candidate_bytes_is_flat_and_stable(self):
         genotype = Genotype.random(rng=np.random.default_rng(3))
         flat = candidate_bytes(genotype)
         assert flat == candidate_bytes(genotype.copy())
-        fg, w, n, out = candidate_key(genotype)
-        assert flat == fg + w + n + out.to_bytes(4, "little")
+        genes = genotype.function_genes, genotype.west_mux, genotype.north_mux
+        fg, w, n = (array.tobytes() for array in genes)
+        assert flat == fg + w + n + genotype.output_select.to_bytes(4, "little")
+
+    @pytest.mark.parametrize("rows, cols", [(4, 4), (2, 8), (1, 1), (300, 1)])
+    def test_generation_keys_are_candidate_bytes(self, rows, cols):
+        """The keys sliced from a generation's gene matrix equal each
+        offspring's own key, output rows beyond one byte included."""
+        spec = GenotypeSpec(rows, cols)
+        parent = Genotype.random(spec, np.random.default_rng(rows))
+        generation = mutate_population(parent, 2, np.random.default_rng(cols), 7)
+        keys = generation.population.keys
+        assert keys == [candidate_bytes(result.genotype) for result in generation]
+        assert keys == Population.of(list(generation.population)).keys
 
 
 # --------------------------------------------------------------------------- #
@@ -175,7 +187,7 @@ class TestFitnessKey:
 
     def test_prefix_form_equals_fitness_key(self):
         """The pipeline's form: one prefix per scope, completed per candidate
-        from the candidate_key tuple it already holds."""
+        from the population key it already holds."""
         rng = np.random.default_rng(21)
         for rows, cols in ((4, 4), (2, 8), (3, 5), (1, 1), (6, 2)):
             spec = GenotypeSpec(rows, cols)
@@ -183,11 +195,10 @@ class TestFitnessKey:
             rd = "%064x" % int(rng.integers(0, 2**63))
             for taint in (False, True):
                 prefix = fitness_key_prefix(rows, cols, pd, rd, taint)
-                for _ in range(20):
-                    genotype = Genotype.random(spec, rng)
-                    genes, west, north, output = candidate_key(genotype)
+                genotypes = [Genotype.random(spec, rng) for _ in range(20)]
+                for genotype, key in zip(genotypes, Population.of(genotypes).keys):
                     digest = prefix.copy()
-                    digest.update(b"".join((genes, west, north, output.to_bytes(4, "little"))))
+                    digest.update(key)
                     expected = fitness_key(rows, cols, pd, rd, genotype, fault_taint=taint)
                     assert digest.hexdigest() == expected
 

@@ -87,6 +87,28 @@ class TestOnePlusLambda:
         with pytest.raises(ValueError):
             es.run(n_generations=-1)
 
+    def test_mutation_rate_above_gene_count_rejected_before_any_work(self, spec):
+        """An over-large rate fails at construction, before the initial
+        parent is evaluated or a generation hook fires."""
+        calls = []
+        with pytest.raises(ValueError, match="mutation_rate"):
+            OnePlusLambdaES(
+                lambda genotype: calls.append("eval") or 0.0,
+                spec=spec,
+                mutation_rate=spec.n_genes + 1,
+                generation_hook=calls.append,
+            )
+        assert calls == []
+        # The top of the range is still accepted, and a custom operator
+        # keeps its own meaning of the rate.
+        OnePlusLambdaES(_counting_fitness(spec), spec=spec, mutation_rate=spec.n_genes)
+        OnePlusLambdaES(
+            _counting_fitness(spec),
+            spec=spec,
+            mutation_rate=spec.n_genes + 1,
+            mutation_operator=lambda genotype, rate, rng: None,
+        )
+
     def test_accept_equal_false_keeps_parent(self, spec):
         # With a constant fitness the parent is never replaced when
         # accept_equal is disabled, so the best genotype equals the seed.
