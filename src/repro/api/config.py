@@ -162,10 +162,9 @@ class PlatformConfig(_ConfigBase):
             raise ValueError("fitness_voter_threshold must be non-negative")
         # Fail at config-build time, not generations into a run: the name
         # must exist in the backend registry.
-        from repro.backends import BACKENDS, UnknownBackendError
+        from repro.backends import BACKENDS
 
-        if self.backend not in BACKENDS:
-            raise UnknownBackendError(self.backend, BACKENDS.names())
+        BACKENDS.get(self.backend)
 
     def build(self):
         """Instantiate the platform this config describes."""

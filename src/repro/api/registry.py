@@ -89,6 +89,9 @@ class UnknownStrategyError(LookupError):
 class Registry:
     """A named mapping from strategy names to implementations."""
 
+    #: Raised by :meth:`get` for an unknown name (subclasses may narrow it).
+    error = UnknownStrategyError
+
     def __init__(self, kind: str) -> None:
         self.kind = kind
         self._entries: Dict[str, Any] = {}
@@ -127,11 +130,11 @@ class Registry:
 
     # ------------------------------------------------------------------ #
     def get(self, name: str) -> Any:
-        """Look up ``name``; raises :class:`UnknownStrategyError` when absent."""
+        """Look up ``name``; raises :attr:`error` (an :class:`UnknownStrategyError`) when absent."""
         try:
             return self._entries[name]
         except KeyError:
-            raise UnknownStrategyError(self.kind, name, list(self._entries)) from None
+            raise self.error(self.kind, name, list(self._entries)) from None
 
     def names(self) -> List[str]:
         """Registered names, in registration order."""
@@ -147,7 +150,7 @@ class Registry:
         return len(self._entries)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Registry({self.kind!r}, {len(self._entries)} entries)"
+        return f"{type(self).__name__}({self.kind!r}, {len(self._entries)} entries)"
 
 
 #: Evolution-driver strategies (parallel, independent, cascaded, imitation, two_level).

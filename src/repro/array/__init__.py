@@ -12,9 +12,9 @@ systolically on a 3x3 sliding window of an 8-bit grayscale image.
 * :mod:`repro.array.window` — 3x3 sliding-window extraction with edge
   replication (the FIFO line buffers of the hardware).
 * :mod:`repro.array.systolic_array` — the vectorised functional simulator of
-  the array, including per-PE fault overrides and the pipeline latency model.
-* :mod:`repro.array.processing_element` — the single-PE model used by the
-  fabric/bitstream layer and by fine-grained tests.
+  the array, including the pipeline latency model and the PE-level fault
+  model: each faulty position outputs garbage drawn from its own stream,
+  started from an explicit seed.
 """
 
 from repro.array.genotype import Genotype, GenotypeSpec
@@ -25,7 +25,6 @@ from repro.array.pe_library import (
     function_name,
     function_table,
 )
-from repro.array.processing_element import ProcessingElement
 from repro.array.systolic_array import ArrayGeometry, SystolicArray
 from repro.array.window import WINDOW_SIZE, extract_windows
 
@@ -37,7 +36,6 @@ __all__ = [
     "apply_function",
     "function_name",
     "function_table",
-    "ProcessingElement",
     "ArrayGeometry",
     "SystolicArray",
     "WINDOW_SIZE",

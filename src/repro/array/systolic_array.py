@@ -38,31 +38,18 @@ corresponding to a dummy PE, which generates a random value in its output").
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.array.genotype import Genotype, GenotypeSpec, Population
-from repro.array.processing_element import _PE_FAULT_STREAM_TAG
 from repro.array.window import N_WINDOW_PIXELS, extract_windows
 
 if TYPE_CHECKING:  # pragma: no cover - runtime import stays lazy (cycle guard)
     from repro.backends.base import EvaluationBackend
 
 __all__ = ["ArrayGeometry", "SystolicArray"]
-
-#: Stream tag mixed into the derived per-position fault seed used when
-#: :meth:`SystolicArray.inject_fault` is called without an explicit seed.
-#: The derived entropy is ``SeedSequence([_FAULT_STREAM_TAG, row, col])``,
-#: so the implicit stream of a position is stable across runs and distinct
-#: from every explicitly seeded stream.  Shared with (imported from)
-#: :class:`~repro.array.processing_element.ProcessingElement` so a bare PE
-#: and an array position derive the *same* stream — part of the documented
-#: RNG determinism contract (see ``docs/architecture.md``).
-_FAULT_STREAM_TAG = _PE_FAULT_STREAM_TAG
-
 
 @dataclass(frozen=True)
 class ArrayGeometry:
@@ -137,15 +124,12 @@ class SystolicArray:
     ) -> None:
         self.geometry = geometry
         self._fault_rngs: Dict[Tuple[int, int], np.random.Generator] = {}
-        # The entropy each position's stream was created from, kept so
-        # reset_fault_streams() can rewind a reused array to generation
-        # zero of the same garbage sequence.
-        self._fault_seeds: Dict[Tuple[int, int], Union[int, Tuple[int, ...], None]] = {}
-        # The last generator made for each position, with its entropy and
-        # start state: restarting the same stream at the same position
-        # (what every ACB fault sync does) rewinds that generator in place
-        # instead of seeding a new one.
-        self._fault_starts: Dict[Tuple[int, int], Tuple[object, np.random.Generator, dict]] = {}
+        # The last generator made for each position, with its seed and start
+        # state.  Kept when a fault is cleared: restarting the same stream at
+        # the same position (what every ACB fault sync does) rewinds that
+        # generator in place instead of seeding a new one, and
+        # reset_fault_streams() rewinds a reused array from these records.
+        self._fault_starts: Dict[Tuple[int, int], Tuple[int, np.random.Generator, dict]] = {}
         if faults:
             for position, seed in faults.items():
                 self.inject_fault(position, seed)
@@ -192,64 +176,38 @@ class SystolicArray:
             )
         return row, col
 
-    def _spawn_fault_rng(
-        self, position: Tuple[int, int], entropy: Union[int, Tuple[int, ...]]
-    ) -> np.random.Generator:
-        """A generator at the start of ``entropy``'s stream, for ``position``."""
+    def _spawn_fault_rng(self, position: Tuple[int, int], seed: int) -> np.random.Generator:
+        """A generator at the start of ``seed``'s stream, for ``position``."""
         start = self._fault_starts.get(position)
-        if start is not None and start[0] == entropy:
+        if start is not None and start[0] == seed:
             _, rng, state = start
             rng.bit_generator.state = state
             return rng
-        if isinstance(entropy, tuple):
-            rng = np.random.default_rng(np.random.SeedSequence(list(entropy)))
-        else:
-            rng = np.random.default_rng(entropy)
-        self._fault_starts[position] = (entropy, rng, rng.bit_generator.state)
+        rng = np.random.default_rng(seed)
+        self._fault_starts[position] = (seed, rng, rng.bit_generator.state)
         return rng
 
-    def inject_fault(self, position: Tuple[int, int], seed: Optional[int] = None) -> None:
+    def inject_fault(self, position: Tuple[int, int], seed: int) -> None:
         """Mark a PE position as permanently damaged.
 
         The faulty PE will output random pixels on every evaluation; evolution
         can only recover by routing useful computation around that position.
 
-        Each faulty position owns an independent, seeded random stream,
-        (re)started here: injecting the same seed at the same position
+        Each faulty position owns an independent random stream, (re)started
+        here from ``seed``: injecting the same seed at the same position
         always reproduces the same garbage sequence, which is what makes
-        fault campaigns replayable.  When ``seed`` is omitted the stream is
-        derived deterministically from the position
-        (``SeedSequence([_FAULT_STREAM_TAG, row, col])``) instead of the
-        old unseeded fallback; relying on the implicit derivation is
-        deprecated — pass an explicit seed so the stream identity is part
-        of the experiment spec.
+        fault campaigns replayable.
         """
-        row, col = self._check_position(position)
-        if seed is None:
-            warnings.warn(
-                "SystolicArray.inject_fault() without a seed is deprecated: the "
-                "fault stream is now derived from the PE position instead of an "
-                "unseeded generator; pass an explicit seed to make the stream "
-                "identity part of the experiment spec",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            entropy: Union[int, Tuple[int, ...]] = (_FAULT_STREAM_TAG, row, col)
-        else:
-            entropy = int(seed)
-        self._fault_seeds[(row, col)] = entropy
-        self._fault_rngs[(row, col)] = self._spawn_fault_rng((row, col), entropy)
+        position = self._check_position(position)
+        self._fault_rngs[position] = self._spawn_fault_rng(position, int(seed))
 
     def clear_fault(self, position: Tuple[int, int]) -> None:
         """Remove a previously injected fault (used by tests and scrubbing of SEUs)."""
-        row, col = self._check_position(position)
-        self._fault_rngs.pop((row, col), None)
-        self._fault_seeds.pop((row, col), None)
+        self._fault_rngs.pop(self._check_position(position), None)
 
     def clear_all_faults(self) -> None:
-        """Remove every injected fault (and its recorded stream seed)."""
+        """Remove every injected fault."""
         self._fault_rngs.clear()
-        self._fault_seeds.clear()
 
     def reset_fault_streams(self) -> None:
         """Rewind every fault stream to the start of its seeded sequence.
@@ -257,17 +215,20 @@ class SystolicArray:
         Evaluation consumes the per-position streams, so re-running a fault
         scenario on a *reused* array would otherwise continue mid-stream
         and produce different garbage than the first run.  This rewinds
-        each position's generator to the entropy it was injected with,
+        each position's generator to the seed it was injected with,
         making the next evaluation byte-identical to the first one after
         injection.  (:meth:`~repro.core.acb.ArrayControlBlock.sync_faults`
         achieves the same by re-injecting from the fabric state.)
         """
-        for position, entropy in self._fault_seeds.items():
-            self._fault_rngs[position] = self._spawn_fault_rng(position, entropy)
+        for position in self._fault_rngs:
+            seed = self._fault_starts[position][0]
+            self._fault_rngs[position] = self._spawn_fault_rng(position, seed)
 
-    def fault_seed(self, position: Tuple[int, int]) -> Union[int, Tuple[int, ...]]:
-        """The entropy a faulty position's stream was created from."""
-        return self._fault_seeds[position]
+    def fault_seed(self, position: Tuple[int, int]) -> int:
+        """The seed a faulty position's stream was started from."""
+        if position not in self._fault_rngs:
+            raise KeyError(position)
+        return self._fault_starts[position][0]
 
     def is_faulty(self, position: Tuple[int, int]) -> bool:
         """Whether the PE at ``position`` is currently faulty."""

@@ -3,7 +3,7 @@
 The array model (:mod:`repro.array`) defines *what* a candidate circuit
 computes; this package defines *how* it is computed.  Backends implement
 the :class:`EvaluationBackend` protocol and register by name in
-:data:`BACKENDS` (a registry mirroring :mod:`repro.api.registry`), so the
+:data:`BACKENDS` (a :class:`repro.api.registry.Registry`), so the
 engine is one switch everywhere a platform is built:
 
 >>> from repro.api import PlatformConfig

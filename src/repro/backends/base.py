@@ -3,10 +3,8 @@
 The functional simulator separates *what* a candidate circuit computes
 (:class:`~repro.array.systolic_array.SystolicArray`: geometry, genotype
 validation, the PE-level fault state) from *how* it is computed — the
-evaluation backend.  Backends are looked up by name, mirroring the
-strategy registries of :mod:`repro.api.registry` (this layer sits below
-``repro.api``, so it keeps its own registry instead of importing the
-API one):
+evaluation backend.  Backends are looked up by name in a
+:class:`repro.api.registry.Registry`, like the strategy registries:
 
 >>> from repro.backends import BACKENDS
 >>> sorted(BACKENDS.names())
@@ -59,9 +57,11 @@ True
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Sequence, Union
+from typing import TYPE_CHECKING, Any, Sequence, Union
 
 import numpy as np
+
+from repro.api.registry import Registry, UnknownStrategyError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (array -> backends)
     from repro.array.genotype import Genotype
@@ -158,74 +158,23 @@ class EvaluationBackend:
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-class UnknownBackendError(LookupError):
+class UnknownBackendError(UnknownStrategyError):
     """Raised for a backend name that is not registered.
 
-    Mirrors :class:`repro.api.registry.UnknownStrategyError`: the message
-    lists the registered names so a typo in ``PlatformConfig(backend=...)``
-    or ``--backend`` is immediately actionable.
+    The message lists the registered names so a typo in
+    ``PlatformConfig(backend=...)`` or ``--backend`` is immediately
+    actionable.
     """
 
-    def __init__(self, name: str, available: List[str]) -> None:
-        choices = ", ".join(sorted(available)) if available else "(none registered)"
-        super().__init__(f"unknown evaluation backend {name!r}; available: {choices}")
-        self.name = name
-        self.available = sorted(available)
 
+class BackendRegistry(Registry):
+    """The evaluation-backend registry: a :class:`repro.api.registry.Registry`
+    whose unknown names raise :class:`UnknownBackendError`."""
 
-class BackendRegistry:
-    """String-keyed registry of evaluation-backend classes.
-
-    Same contract as the Session-API registries
-    (:class:`repro.api.registry.Registry`): duplicate names raise unless
-    ``replace=True``, unknown names raise a ``LookupError`` listing the
-    alternatives, and ``register`` doubles as a decorator.
-    """
+    error = UnknownBackendError
 
     def __init__(self) -> None:
-        self._entries: Dict[str, Any] = {}
-
-    def register(self, name: str, obj: Any = None, *, replace: bool = False):
-        """Register a backend class (or instance factory) under ``name``."""
-        if not isinstance(name, str) or not name:
-            raise ValueError(f"backend name must be a non-empty string, got {name!r}")
-
-        def add(value: Any) -> Any:
-            if not replace and name in self._entries:
-                raise ValueError(f"evaluation backend {name!r} is already registered")
-            self._entries[name] = value
-            return value
-
-        if obj is None:
-            return add
-        return add(obj)
-
-    def unregister(self, name: str) -> None:
-        """Remove an entry (tests and plugin teardown)."""
-        self._entries.pop(name, None)
-
-    def get(self, name: str) -> Any:
-        """Look up ``name``; raises :class:`UnknownBackendError` when absent."""
-        try:
-            return self._entries[name]
-        except KeyError:
-            raise UnknownBackendError(name, list(self._entries)) from None
-
-    def names(self) -> List[str]:
-        """Registered names, in registration order."""
-        return list(self._entries)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._entries
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BackendRegistry({len(self._entries)} entries)"
+        super().__init__("evaluation backend")
 
 
 #: The process-wide evaluation-backend registry.

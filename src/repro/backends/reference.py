@@ -66,9 +66,8 @@ class ReferenceBackend(EvaluationBackend):
                 north = south[c]
                 position = (r, c)
                 if array.is_faulty(position):
-                    # The literal per-call uint8 draw (as in
-                    # ProcessingElement.compute), kept on purpose: it is
-                    # the oracle the population paths' block draw
+                    # The literal per-call uint8 draw, kept on purpose: it
+                    # is the oracle the population paths' block draw
                     # (SystolicArray.draw_fault_planes) is tested against.
                     output = array.fault_rng(position).integers(
                         0, 256, size=west.shape, dtype=np.uint8

@@ -13,7 +13,7 @@ number of partial reconfigurations per generation — lives in
 """
 
 from repro.ea.chromosome import Individual
-from repro.ea.fitness import FitnessEvaluator, ImitationFitnessEvaluator
+from repro.ea.fitness import FitnessEvaluator
 from repro.ea.mutation import MutationResult, mutate
 from repro.ea.pipeline import FitnessPipeline, resolve_persistent_cache
 from repro.ea.strategy import EvolutionResult, GenerationRecord, OnePlusLambdaES
@@ -21,7 +21,6 @@ from repro.ea.strategy import EvolutionResult, GenerationRecord, OnePlusLambdaES
 __all__ = [
     "Individual",
     "FitnessEvaluator",
-    "ImitationFitnessEvaluator",
     "FitnessPipeline",
     "resolve_persistent_cache",
     "MutationResult",

@@ -1,30 +1,30 @@
-"""Fitness evaluation helpers.
+"""Fitness evaluation against a reference image.
 
 The fitness function of the platform is the pixel-aggregated Mean Absolute
 Error computed in hardware by the fitness unit of each ACB; the EA only
-reads the resulting scalar.  Two evaluators are provided:
+reads the resulting scalar.  :class:`FitnessEvaluator` compares one
+array's output against a fixed reference image, for the standalone
+:class:`~repro.ea.strategy.OnePlusLambdaES`.  The platform drivers keep
+their own per-array context
+(:class:`~repro.core.evolution.ArrayEvalContext`), whose ``retarget``
+feeds a cascaded stage the previous stage's output; Evolution by
+Imitation scores against a master array's output in
+:class:`~repro.core.evolution.ImitationEvolution`.
 
-* :class:`FitnessEvaluator` — compares the array output against a reference
-  image (the ordinary evolution modes).
-* :class:`ImitationFitnessEvaluator` — compares the array output against
-  the *output of another array* processing the same stream (the paper's
-  Evolution by Imitation, §IV.B / Fig. 7), which requires no reference
-  image at all.
-
-Both pre-extract the sliding-window planes once so that repeated candidate
-evaluations do not pay the window-extraction cost again (profiling showed
-window extraction dominating a naive per-candidate implementation; see the
-hpc-parallel guide's advice to hoist invariant work out of the hot loop),
-and both route every evaluation through the staged
+The evaluator pre-extracts the sliding-window planes once so that repeated
+candidate evaluations do not pay the window-extraction cost again
+(profiling showed window extraction dominating a naive per-candidate
+implementation; see the hpc-parallel guide's advice to hoist invariant
+work out of the hot loop), and routes every evaluation through the staged
 :class:`~repro.ea.pipeline.FitnessPipeline`, so the in-process cache tier
-— and, when enabled, the persistent tier — apply uniformly to the ES
-and to the platform drivers built on top.
+— and, when enabled, the persistent tier — apply to the ES as they do to
+the platform drivers.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from repro.array.window import extract_windows
 from repro.backends.fitness_cache import PersistentFitnessCache
 from repro.ea.pipeline import FitnessPipeline
 
-__all__ = ["FitnessEvaluator", "ImitationFitnessEvaluator"]
+__all__ = ["FitnessEvaluator"]
 
 
 class FitnessEvaluator:
@@ -110,67 +110,3 @@ class FitnessEvaluator:
         return self.pipeline.evaluate_population(
             self._planes, genotypes, self.reference_image
         )
-
-    def retarget(self, training_image: Optional[np.ndarray] = None,
-                 reference_image: Optional[np.ndarray] = None) -> None:
-        """Change the training and/or reference image in place.
-
-        Used by cascaded evolution, where the training image of stage *i+1*
-        is the output of the already-evolved stage *i*.
-        """
-        if training_image is not None:
-            training_image = np.asarray(training_image)
-            self.training_image = training_image
-            self._planes = extract_windows(training_image)
-        if reference_image is not None:
-            reference_image = np.asarray(reference_image)
-            self.reference_image = reference_image
-        if self.training_image.shape != self.reference_image.shape:
-            raise ValueError("training and reference images must keep the same shape")
-        self.pipeline.invalidate()
-
-
-class ImitationFitnessEvaluator(FitnessEvaluator):
-    """Fitness against the output of a *master* array (Evolution by Imitation).
-
-    The apprentice array is evolved so that the MAE between its output and
-    the master's output tends to zero; no reference image is needed, which
-    is what makes imitation usable when "the reference image ... might have
-    disappeared, damaged, or erased" (paper §IV.B).
-
-    Parameters
-    ----------
-    apprentice:
-        The (typically faulty) array being re-evolved.
-    master_array:
-        A healthy neighbouring array.
-    master_genotype:
-        The circuit currently configured on the master.
-    input_image:
-        The image both arrays are processing (the live data stream).
-    """
-
-    def __init__(
-        self,
-        apprentice: SystolicArray,
-        master_array: SystolicArray,
-        master_genotype: Genotype,
-        input_image: np.ndarray,
-    ) -> None:
-        master_output = master_array.process(input_image, master_genotype)
-        super().__init__(apprentice, training_image=input_image, reference_image=master_output)
-        self.master_array = master_array
-        self.master_genotype = master_genotype
-
-    def refresh_master(self, input_image: Optional[np.ndarray] = None,
-                       master_genotype: Optional[Genotype] = None) -> None:
-        """Recompute the master's output (new frame and/or new master circuit)."""
-        if master_genotype is not None:
-            self.master_genotype = master_genotype
-        if input_image is not None:
-            self.training_image = np.asarray(input_image)
-            self._planes = extract_windows(self.training_image)
-        self.reference_image = self.master_array.process(
-            self.training_image, self.master_genotype
-        )
-        self.pipeline.invalidate()

@@ -25,7 +25,6 @@ fault model.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -119,7 +118,6 @@ class FpgaFabric:
             raise ValueError(f"n_arrays must be >= 1, got {n_arrays}")
         self.n_arrays = n_arrays
         self.geometry = geometry
-        self._seed_was_defaulted = seed is None
         self.seed = 0 if seed is None else int(seed)
         self._seu_rng = np.random.default_rng(
             np.random.SeedSequence([_SEU_STREAM_TAG, self.seed])
@@ -220,30 +218,14 @@ class FpgaFabric:
 
         The flipped bit is ``bit_index`` when given, otherwise a draw from
         ``rng``; with neither, the draw comes from the fabric's own seeded
-        SEU stream (derived from the constructor ``seed``) instead of the
-        old unseeded fallback, so SEU campaigns replay bit-for-bit from the
-        recorded seed.
+        SEU stream (derived from the constructor ``seed``), so SEU campaigns
+        replay bit-for-bit from the recorded seed.
         """
         state = self.region(address)
         assert state.words is not None
         n_bits = state.words.size * 32
         if bit_index is None:
             if rng is None:
-                if self._seed_was_defaulted:
-                    # Surface the behaviour change from the old unseeded
-                    # fallback: fully implicit draws are now deterministic
-                    # (documented default seed 0), so independently created
-                    # seedless fabrics share one stream.
-                    warnings.warn(
-                        "FpgaFabric.corrupt_region() without an rng on a fabric "
-                        "constructed without a seed draws from the documented "
-                        "default stream (seed 0) instead of an unseeded "
-                        "generator; pass FpgaFabric(seed=...) or an explicit "
-                        "rng so the stream identity is part of the experiment "
-                        "spec",
-                        DeprecationWarning,
-                        stacklevel=2,
-                    )
                 rng = self._seu_rng
             bit_index = int(rng.integers(0, n_bits))
         if not 0 <= bit_index < n_bits:

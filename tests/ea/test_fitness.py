@@ -1,10 +1,8 @@
-"""Tests for the fitness evaluators."""
+"""Tests for the fitness evaluator."""
 
 import pytest
 
-from repro.array.genotype import Genotype
-from repro.array.systolic_array import SystolicArray
-from repro.ea.fitness import FitnessEvaluator, ImitationFitnessEvaluator
+from repro.ea.fitness import FitnessEvaluator
 from repro.imaging.images import make_test_image
 from repro.imaging.metrics import sae
 
@@ -30,45 +28,7 @@ class TestFitnessEvaluator:
         with pytest.raises(ValueError):
             FitnessEvaluator(array, medium_image, make_test_image(16))
 
-    def test_retarget_training(self, array, identity_genotype, medium_image):
-        other = make_test_image(32, seed=55)
-        evaluator = FitnessEvaluator(array, medium_image, medium_image)
-        evaluator.retarget(training_image=other, reference_image=other)
-        assert evaluator.evaluate(identity_genotype) == 0.0
-
-    def test_retarget_shape_mismatch(self, array, medium_image):
-        evaluator = FitnessEvaluator(array, medium_image, medium_image)
-        with pytest.raises(ValueError):
-            evaluator.retarget(training_image=make_test_image(16))
-
     def test_n_pixels(self, array, medium_image):
         evaluator = FitnessEvaluator(array, medium_image, medium_image)
         assert evaluator.n_pixels == medium_image.size
         assert evaluator.image_shape == medium_image.shape
-
-
-class TestImitationFitnessEvaluator:
-    def test_identical_arrays_score_zero(self, spec, medium_image, rng):
-        master = SystolicArray()
-        apprentice = SystolicArray()
-        genotype = Genotype.random(spec, rng)
-        evaluator = ImitationFitnessEvaluator(apprentice, master, genotype, medium_image)
-        assert evaluator.evaluate(genotype) == 0.0
-
-    def test_faulty_apprentice_scores_nonzero(self, spec, medium_image, rng):
-        master = SystolicArray()
-        apprentice = SystolicArray()
-        genotype = Genotype.identity(spec)
-        apprentice.inject_fault((0, 0), seed=5)
-        evaluator = ImitationFitnessEvaluator(apprentice, master, genotype, medium_image)
-        assert evaluator.evaluate(genotype) > 0.0
-
-    def test_refresh_master_updates_reference(self, spec, medium_image, rng):
-        master = SystolicArray()
-        apprentice = SystolicArray()
-        first = Genotype.identity(spec)
-        evaluator = ImitationFitnessEvaluator(apprentice, master, first, medium_image)
-        second = Genotype.random(spec, rng)
-        evaluator.refresh_master(master_genotype=second)
-        # Now the apprentice must reproduce the *new* master circuit.
-        assert evaluator.evaluate(second) == 0.0

@@ -5,9 +5,9 @@ identity is recoverable from the experiment spec: an explicit seed, or a
 documented derivation from one.  This suite enforces the contract two
 ways — a source scan proving no fault path can reach an unseeded
 ``np.random.default_rng()`` fallback, and behavioural tests exercising
-each fixed call site (``ProcessingElement.inject_fault``/``compute``,
-``FpgaFabric.corrupt_region``, ``SystolicArray.inject_fault``,
-``FaultInjector``, ``ExternalMemory.corrupt``).
+each seeded call site (``SystolicArray.inject_fault``, whose seed is
+required, ``FpgaFabric.corrupt_region``, ``FaultInjector``,
+``ExternalMemory.corrupt``).
 """
 
 from pathlib import Path
@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.array.processing_element import ProcessingElement
 from repro.array.systolic_array import SystolicArray
 from repro.core.platform import EvolvableHardwarePlatform
 from repro.fpga.fabric import FpgaFabric, RegionAddress
@@ -47,50 +46,6 @@ def test_no_unseeded_default_rng_anywhere_in_src():
     assert [f.render() for f in report.suppressed] == []
 
 
-class TestProcessingElement:
-    def test_implicit_inject_fault_warns_and_is_deterministic(self):
-        def garbage():
-            pe = ProcessingElement(row=2, col=3)
-            with pytest.warns(DeprecationWarning):
-                pe.inject_fault()
-            return pe.compute(
-                np.zeros((4, 4), dtype=np.uint8), np.zeros((4, 4), dtype=np.uint8)
-            )
-
-        assert np.array_equal(garbage(), garbage())
-
-    def test_derived_streams_differ_per_position(self):
-        def garbage(row, col):
-            pe = ProcessingElement(row=row, col=col)
-            with pytest.warns(DeprecationWarning):
-                pe.inject_fault()
-            return pe.compute(
-                np.zeros((8, 8), dtype=np.uint8), np.zeros((8, 8), dtype=np.uint8)
-            )
-
-        assert not np.array_equal(garbage(0, 0), garbage(0, 1))
-
-    def test_compute_fallback_warns_persists_stream(self):
-        pe = ProcessingElement(row=1, col=1, faulty=True)
-        west = np.zeros((4, 4), dtype=np.uint8)
-        with pytest.warns(DeprecationWarning):
-            first = pe.compute(west, west)
-        # The derived generator is kept, so the stream advances instead of
-        # restarting — and no further warning is emitted.
-        second = pe.compute(west, west)
-        twin = ProcessingElement(row=1, col=1, faulty=True)
-        with pytest.warns(DeprecationWarning):
-            twin_first = twin.compute(west, west)
-        assert np.array_equal(first, twin_first)
-        assert np.array_equal(second, twin.compute(west, west))
-
-    def test_explicit_rng_does_not_warn(self, recwarn):
-        pe = ProcessingElement(row=0, col=0)
-        pe.inject_fault(np.random.default_rng(3))
-        pe.compute(np.zeros((2, 2), dtype=np.uint8), np.zeros((2, 2), dtype=np.uint8))
-        assert not [w for w in recwarn.list if w.category is DeprecationWarning]
-
-
 class TestFpgaFabric:
     def test_implicit_seu_bit_choice_is_replayable(self):
         address = RegionAddress(0, 1, 2)
@@ -103,13 +58,10 @@ class TestFpgaFabric:
         assert flipped_bits(7) != flipped_bits(8)
 
     def test_default_seed_is_documented_constant(self):
-        # Seedless fabrics share the documented default stream — and warn,
-        # because two nominally independent fabrics now draw identically.
+        # Seedless fabrics share the documented default stream (seed 0).
         address = RegionAddress(0, 0, 0)
-        with pytest.warns(DeprecationWarning):
-            a = FpgaFabric(n_arrays=1).corrupt_region(address)
-        with pytest.warns(DeprecationWarning):
-            b = FpgaFabric(n_arrays=1).corrupt_region(address)
+        a = FpgaFabric(n_arrays=1).corrupt_region(address)
+        b = FpgaFabric(n_arrays=1).corrupt_region(address)
         assert a == b
 
     def test_platform_threads_its_seed_into_the_fabric(self):
@@ -128,16 +80,6 @@ class TestFpgaFabric:
 
 
 class TestSystolicArrayStreams:
-    def test_implicit_inject_warns_and_derives_from_position(self):
-        def garbage(position):
-            array = SystolicArray()
-            with pytest.warns(DeprecationWarning):
-                array.inject_fault(position)
-            return array.fault_rng(position).integers(0, 256, size=8, dtype=np.uint8)
-
-        assert np.array_equal(garbage((2, 1)), garbage((2, 1)))
-        assert not np.array_equal(garbage((2, 1)), garbage((1, 2)))
-
     def test_reset_fault_streams_reproduces_first_run(self):
         array = SystolicArray()
         array.inject_fault((0, 0), seed=5)
@@ -161,6 +103,23 @@ class TestSystolicArrayStreams:
         array.clear_all_faults()
         with pytest.raises(KeyError):
             array.fault_seed((1, 1))
+
+    def test_seed_is_required(self):
+        with pytest.raises(TypeError):
+            SystolicArray().inject_fault((1, 1))
+
+    def test_reinjection_after_clear_rewinds_the_same_generator(self):
+        # Clearing keeps each position's start record, so the re-injection
+        # every ACB fault sync makes rewinds the generator in place instead
+        # of seeding a new one.
+        array = SystolicArray()
+        array.inject_fault((2, 1), seed=6)
+        rng = array.fault_rng((2, 1))
+        start = rng.integers(0, 256, size=16, dtype=np.uint8)
+        array.clear_all_faults()
+        array.inject_fault((2, 1), seed=6)
+        assert array.fault_rng((2, 1)) is rng
+        assert np.array_equal(rng.integers(0, 256, size=16, dtype=np.uint8), start)
 
     def test_reinjection_restarts_the_stream(self):
         array = SystolicArray()
