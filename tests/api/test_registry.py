@@ -47,6 +47,27 @@ class TestLookup:
         assert "definitely-not-a-driver" in message
         assert "parallel" in message  # available names are listed
 
+    def test_empty_registry_says_none_registered(self):
+        with pytest.raises(UnknownStrategyError, match=r"available: \(none registered\)"):
+            Registry("test thing").get("anything")
+
+    def test_subclass_error_attribute_narrows_the_lookup_error(self):
+        class UnknownThingError(UnknownStrategyError):
+            pass
+
+        class ThingRegistry(Registry):
+            error = UnknownThingError
+
+        registry = ThingRegistry("thing")
+        registry.register("known", 1)
+        with pytest.raises(UnknownThingError) as excinfo:
+            registry.get("unknown")
+        assert (excinfo.value.kind, excinfo.value.name) == ("thing", "unknown")
+        assert excinfo.value.available == ["known"]
+        with pytest.raises(UnknownStrategyError) as plain:
+            Registry("thing").get("unknown")
+        assert type(plain.value) is UnknownStrategyError
+
     def test_unknown_registry_kind(self):
         with pytest.raises(UnknownStrategyError):
             get_registry("nonsense")

@@ -148,3 +148,100 @@ class TestFaults:
         b = array.process(medium_image, genotype)
         # The dummy-PE model produces fresh garbage every evaluation.
         assert not np.array_equal(a, b)
+
+    def test_faulty_output_pe_emits_its_seeded_stream(self, identity_genotype, medium_image):
+        # The dummy PE at the end of the selected row replaces the whole
+        # output with the next plane of its own seeded stream.
+        array = SystolicArray()
+        array.inject_fault((0, 3), seed=9)
+        stream = np.random.default_rng(9)
+        for _ in range(2):
+            expected = stream.integers(0, 256, size=medium_image.shape, dtype=np.uint8)
+            assert np.array_equal(array.process(medium_image, identity_genotype), expected)
+
+    def test_clear_fault_restores_function(self, identity_genotype, medium_image):
+        array = SystolicArray()
+        array.inject_fault((0, 0), seed=1)
+        array.clear_fault((0, 0))
+        assert not array.is_faulty((0, 0))
+        assert np.array_equal(array.process(medium_image, identity_genotype), medium_image)
+
+    def test_clear_healthy_position_is_a_no_op(self, array):
+        array.inject_fault((1, 1), seed=2)
+        array.clear_fault((2, 2))
+        assert array.faulty_positions == ((1, 1),)
+        assert array.fault_seed((1, 1)) == 2
+
+    def test_clear_out_of_range_position_rejected(self, array):
+        with pytest.raises(ValueError):
+            array.clear_fault((4, 0))
+
+    def test_faulty_positions_are_sorted(self, array):
+        for seed, position in enumerate([(3, 1), (0, 2), (1, 0), (0, 1)]):
+            array.inject_fault(position, seed=seed)
+        assert array.faulty_positions == ((0, 1), (0, 2), (1, 0), (3, 1))
+        assert all(array.is_faulty(p) for p in array.faulty_positions)
+        assert not array.is_faulty((2, 2))
+
+    def test_constructor_faults_keep_their_seeds(self):
+        array = SystolicArray(faults={(2, 2): 7, (0, 1): 3})
+        assert array.fault_seed((2, 2)) == 7
+        assert array.fault_seed((0, 1)) == 3
+        expected = np.random.default_rng(7).integers(0, 256, size=8, dtype=np.uint8)
+        drawn = array.fault_rng((2, 2)).integers(0, 256, size=8, dtype=np.uint8)
+        assert np.array_equal(drawn, expected)
+
+    def test_numpy_integer_seed_is_stored_as_int(self, array):
+        array.inject_fault((1, 2), seed=np.int64(5))
+        assert array.fault_seed((1, 2)) == 5
+        assert type(array.fault_seed((1, 2))) is int
+
+    def test_new_seed_after_clear_starts_the_new_stream(self, array):
+        array.inject_fault((3, 0), seed=6)
+        array.fault_rng((3, 0)).integers(0, 256, size=4, dtype=np.uint8)
+        array.clear_fault((3, 0))
+        array.inject_fault((3, 0), seed=8)
+        assert array.fault_seed((3, 0)) == 8
+        expected = np.random.default_rng(8).integers(0, 256, size=16, dtype=np.uint8)
+        drawn = array.fault_rng((3, 0)).integers(0, 256, size=16, dtype=np.uint8)
+        assert np.array_equal(drawn, expected)
+
+    def test_reset_fault_streams_does_not_revive_cleared_faults(self, array):
+        array.inject_fault((0, 0), seed=1)
+        array.inject_fault((1, 1), seed=2)
+        array.clear_fault((0, 0))
+        array.reset_fault_streams()
+        assert array.faulty_positions == ((1, 1),)
+
+    def test_drawing_one_stream_leaves_the_others(self, array):
+        array.inject_fault((0, 0), seed=4)
+        array.inject_fault((2, 3), seed=4)
+        array.fault_rng((0, 0)).integers(0, 256, size=64, dtype=np.uint8)
+        expected = np.random.default_rng(4).integers(0, 256, size=8, dtype=np.uint8)
+        drawn = array.fault_rng((2, 3)).integers(0, 256, size=8, dtype=np.uint8)
+        assert np.array_equal(drawn, expected)
+
+    def test_same_seeded_faults_replay_on_a_second_array(self, identity_genotype, medium_image):
+        def outputs():
+            array = SystolicArray()
+            array.inject_fault((0, 1), seed=13)  # on the identity's output row
+            array.inject_fault((3, 3), seed=14)
+            return [array.process(medium_image, identity_genotype) for _ in range(3)]
+
+        first_run, second_run = outputs(), outputs()
+        assert not np.array_equal(first_run[0], medium_image)
+        for first, second in zip(first_run, second_run):
+            assert np.array_equal(first, second)
+
+    def test_fault_seed_of_a_never_faulty_position_raises(self, array):
+        with pytest.raises(KeyError):
+            array.fault_seed((0, 0))
+
+    def test_fault_positions_follow_the_geometry(self):
+        array = SystolicArray(ArrayGeometry(rows=2, cols=3))
+        array.inject_fault((1, 2), seed=0)
+        assert array.faulty_positions == ((1, 2),)
+        with pytest.raises(ValueError):
+            array.inject_fault((2, 0), seed=0)
+        with pytest.raises(ValueError):
+            array.inject_fault((0, 3), seed=0)

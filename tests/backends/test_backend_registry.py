@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api.config import PlatformConfig
+from repro.api.registry import Registry, UnknownStrategyError
 from repro.array.systolic_array import SystolicArray
 from repro.backends import (
     BACKENDS,
@@ -34,6 +35,25 @@ class TestRegistry:
             error = exc
         assert error.name == "no-such-engine"
         assert "numpy" in error.available
+
+    def test_backend_registry_is_a_strategy_registry(self):
+        assert isinstance(BACKENDS, Registry)
+        assert BACKENDS.kind == "evaluation backend"
+
+    def test_unknown_backend_is_an_unknown_strategy_error(self):
+        assert issubclass(UnknownBackendError, UnknownStrategyError)
+        with pytest.raises(UnknownStrategyError) as excinfo:
+            BACKENDS.get("no-such-engine")
+        assert type(excinfo.value) is UnknownBackendError
+        assert excinfo.value.kind == "evaluation backend"
+        assert str(excinfo.value).startswith(
+            "unknown evaluation backend 'no-such-engine'; available: "
+        )
+        assert excinfo.value.available == sorted(BACKENDS.names())
+
+    def test_empty_backend_name_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            register_backend("", ReferenceBackend)
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError, match="already registered"):

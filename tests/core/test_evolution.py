@@ -5,6 +5,7 @@ import pytest
 
 from repro.array.genotype import Genotype
 from repro.core.evolution import (
+    ArrayEvalContext,
     CascadedEvolution,
     ImitationEvolution,
     IndependentEvolution,
@@ -13,10 +14,25 @@ from repro.core.evolution import (
 from repro.core.modes import CascadeFitnessMode, CascadeSchedule
 from repro.core.platform import EvolvableHardwarePlatform
 from repro.core.two_level_ea import TwoLevelMutationEvolution
+from repro.imaging.images import make_test_image
 from repro.imaging.metrics import sae
 
 
 GENS = 40  # small budgets keep the suite fast while still showing improvement
+
+
+class TestArrayEvalContext:
+    def test_retarget_switches_the_training_image(self, platform, medium_image):
+        identity = Genotype.identity()
+        context = ArrayEvalContext(platform, 0, medium_image)
+        other = make_test_image(32, seed=55)
+        assert context.fitness(identity, other) > 0.0
+        context.retarget(other)
+        assert np.array_equal(context.output(identity), other)
+        assert context.fitness(identity, other) == 0.0
+        assert context.fitness_population([identity], medium_image) == [
+            sae(other, medium_image)
+        ]
 
 
 class TestParallelEvolution:

@@ -10,6 +10,7 @@ required, ``FpgaFabric.corrupt_region``, ``FaultInjector``,
 ``ExternalMemory.corrupt``).
 """
 
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,21 @@ def test_no_unseeded_default_rng_anywhere_in_src():
     assert [f.render() for f in report.suppressed] == []
 
 
+def test_fault_models_keep_no_seedless_fallback():
+    """Every PE garbage stream starts from an explicit seed: the array and
+    fabric fault models carry no deprecated seedless path, tag-derived
+    stream or bare single-PE model."""
+    banned = ("DeprecationWarning", "_FAULT_STREAM_TAG", "processing_element")
+    hits = [
+        f"{path.relative_to(SRC_ROOT)}: {word}"
+        for package in ("array", "fpga")
+        for path in sorted((SRC_ROOT / package).rglob("*.py"))
+        for word in banned
+        if word in path.read_text()
+    ]
+    assert hits == []
+
+
 class TestFpgaFabric:
     def test_implicit_seu_bit_choice_is_replayable(self):
         address = RegionAddress(0, 1, 2)
@@ -63,6 +79,16 @@ class TestFpgaFabric:
         a = FpgaFabric(n_arrays=1).corrupt_region(address)
         b = FpgaFabric(n_arrays=1).corrupt_region(address)
         assert a == b
+
+    def test_seedless_fabric_is_seed_zero_and_does_not_warn(self):
+        address = RegionAddress(0, 1, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fabric = FpgaFabric(n_arrays=1)
+            drawn = [fabric.corrupt_region(address) for _ in range(4)]
+        assert fabric.seed == 0
+        seeded = FpgaFabric(n_arrays=1, seed=0)
+        assert drawn == [seeded.corrupt_region(address) for _ in range(4)]
 
     def test_platform_threads_its_seed_into_the_fabric(self):
         platform = EvolvableHardwarePlatform(n_arrays=1, seed=123)
