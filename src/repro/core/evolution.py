@@ -6,7 +6,9 @@ scheduling) and Evolution by Imitation.  Each mode is a driver class here;
 all of them share the same building blocks:
 
 * candidates are (1+λ)-style offspring of a per-array parent chromosome,
-  produced by the mutation operator of :mod:`repro.ea.mutation`;
+  produced by the mutation operator of :mod:`repro.ea.mutation`, and the
+  next parent is picked by :func:`repro.ea.strategy.select`, the
+  acceptance rule the standalone ES uses too;
 * the *reconfiguration cost* of placing a candidate on an array is the
   number of PE positions whose function gene differs from what is currently
   configured on that array — exactly what the shared reconfiguration engine
@@ -55,6 +57,7 @@ from repro.core.scheduler import GenerationScheduler
 # the scoreboard's span tracer patches it by name.
 from repro.ea.mutation import Generation, mutate, mutate_population  # noqa: F401
 from repro.ea.pipeline import FitnessPipeline, resolve_persistent_cache
+from repro.ea.strategy import select
 from repro.imaging.metrics import sae
 from repro.timing.model import EvolutionTimingModel
 
@@ -226,43 +229,22 @@ class ArrayEvalContext:
         return self.pipeline.evaluate_population(self.planes, genotypes, reference)
 
 
-class OffspringPlan(Sequence):
-    """One generation's offspring and the array slot each is placed on.
+def _per_slot(
+    population: Population, n_slots: int, fn: Callable[[int, Population], Sequence]
+) -> List:
+    """Apply ``fn(slot, share)`` to each array slot's rows, in population order.
 
-    Offspring ``i`` goes to slot ``i % n_slots``, so a slot's successive
-    candidates are every ``n_slots``-th row of the generation's gene
-    matrix (:attr:`population`).  Items are ``(slot, MutationResult)``
-    pairs, built on demand; the generation step itself reads only the
-    matrix.
+    Offspring ``i`` goes to slot ``i % n_slots``; ``share`` is the
+    sub-population of the slot's candidates, and the per-slot results are
+    scattered back into population-order positions.
     """
-
-    def __init__(self, generation: Generation, n_slots: int) -> None:
-        self.generation = generation
-        self.population = generation.population
-        self.n_slots = n_slots
-
-    def __len__(self) -> int:
-        return len(self.generation)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        mutation = self.generation[index]
-        return index % len(self) % self.n_slots, mutation
-
-    def per_slot(self, fn: Callable[[int, Population], Sequence]) -> List:
-        """Apply ``fn(slot, share)`` to each slot's rows, in plan order.
-
-        ``share`` is the sub-population of the slot's candidates, and the
-        per-slot results are scattered back into plan-order positions.
-        """
-        n_slots = self.n_slots
-        if n_slots == 1:
-            return list(fn(0, self.population))
-        values: List = [None] * len(self)
-        for slot in range(min(n_slots, len(self))):
-            values[slot::n_slots] = fn(slot, self.population.take(range(slot, len(self), n_slots)))
-        return values
+    if n_slots == 1:
+        return list(fn(0, population))
+    n = len(population)
+    values: List = [None] * n
+    for slot in range(min(n_slots, n)):
+        values[slot::n_slots] = fn(slot, population.take(range(slot, n, n_slots)))
+    return values
 
 
 class EvolutionDriver:
@@ -416,41 +398,36 @@ class EvolutionDriver:
             return seed_genotype.copy()
         return Genotype.random(self.platform.spec, self.rng)
 
-    def _accept(self, child_fitness: float, parent_fitness: float) -> bool:
-        if child_fitness < parent_fitness:
-            return True
-        return self.accept_equal and child_fitness == parent_fitness
-
     def _generation_offspring(
         self, parent: Genotype, contexts: Sequence[ArrayEvalContext]
-    ) -> OffspringPlan:
-        """Produce the generation's offspring plan.
+    ) -> Generation:
+        """Draw the generation's offspring.
 
         The classic EA mutates every offspring directly from the parent with
-        the nominal mutation rate, drawn as one population; offspring are
-        assigned to the ``contexts`` round-robin in batches of
-        ``len(contexts)``.
+        the nominal mutation rate, drawn as one population; offspring ``i``
+        is placed on ``contexts[i % len(contexts)]``.
         """
-        generation = mutate_population(parent, self.mutation_rate, self.rng, self.n_offspring)
-        return OffspringPlan(generation, len(contexts))
+        return mutate_population(parent, self.mutation_rate, self.rng, self.n_offspring)
 
     @staticmethod
-    def _evaluate_plan(
-        contexts: Sequence[ArrayEvalContext], plan: OffspringPlan, reference: np.ndarray
+    def _evaluate_population(
+        contexts: Sequence[ArrayEvalContext], population: Population, reference: np.ndarray
     ) -> List[float]:
-        """Fitness of every planned offspring, in plan order.
+        """Fitness of every offspring, in population order.
 
-        Each array scores its share of the plan in one fused pass;
-        candidates keep their plan-order position, so selection and each
-        array's fault-RNG stream follow the plan order.
+        Each array scores its share in one fused pass; candidates keep
+        their position, so selection and each array's fault-RNG stream
+        follow the population order.
         """
         if all(context.acb.array.n_faults == 0 for context in contexts):
             # Healthy arrays are functionally identical and fault-free
             # evaluation consumes no RNG, so the whole generation can be
             # scored as one population without perturbing any random stream.
-            return contexts[0].fitness_population(plan.population, reference)
-        return plan.per_slot(
-            lambda slot, share: contexts[slot].fitness_population(share, reference)
+            return contexts[0].fitness_population(population, reference)
+        return _per_slot(
+            population,
+            len(contexts),
+            lambda slot, share: contexts[slot].fitness_population(share, reference),
         )
 
     def _generation(
@@ -460,26 +437,24 @@ class EvolutionDriver:
         parent_fitness: float,
         scheduler: GenerationScheduler,
         result: PlatformEvolutionResult,
-        score: Callable[[OffspringPlan], List[float]],
+        score: Callable[[Population], List[float]],
     ) -> Tuple[Genotype, float]:
         """One generation step; returns the (possibly replaced) parent.
 
-        Draws the offspring plan, accounts each array's placements, scores
-        the plan through ``score(plan)`` and applies the (1+λ) acceptance
-        rule to the first strictly-best offspring.  Only an accepted
-        offspring becomes a :class:`Genotype` object of its own.
+        Draws the offspring, accounts each array's placements, scores them
+        through ``score(population)`` and picks the next parent with the
+        shared (1+λ) rule :func:`~repro.ea.strategy.select`.  Only an
+        accepted offspring becomes a :class:`Genotype` object of its own.
         """
-        plan = self._generation_offspring(parent, contexts)
-        offspring_counts = contexts[0].place_population(plan.population, contexts[1:])
-        fitnesses = score(plan)
+        population = self._generation_offspring(parent, contexts).population
+        offspring_counts = contexts[0].place_population(population, contexts[1:])
+        fitnesses = score(population)
         result.n_evaluations += len(fitnesses)
         scheduler.record_generation(offspring_counts)
-        # min() keeps the first of equal values: the first strictly-best.
-        best_child_fitness = min(fitnesses)
-        if self._accept(best_child_fitness, parent_fitness):
-            best_child = plan.population.detached(fitnesses.index(best_child_fitness))
-            return best_child, best_child_fitness
-        return parent, parent_fitness
+        chosen = select(fitnesses, parent_fitness, self.accept_equal)
+        if chosen is None:
+            return parent, parent_fitness
+        return population.detached(chosen), fitnesses[chosen]
 
     def _evolve(
         self,
@@ -501,8 +476,8 @@ class EvolutionDriver:
         result.n_evaluations += 1
         history: List[float] = []
 
-        def score(plan):
-            return self._evaluate_plan(contexts, plan, reference)
+        def score(population):
+            return self._evaluate_population(contexts, population, reference)
 
         for _ in range(n_generations):
             self._advance_scenario(scenario_runner, result)
@@ -817,17 +792,17 @@ class CascadedEvolution(EvolutionDriver):
                 ):
                     context.retarget(stage_input)
 
-                def score(plan):
-                    return self._evaluate_plan([context], plan, reference_image)
+                def score(population):
+                    return self._evaluate_population([context], population, reference_image)
             else:
                 # A merged fitness unit judges each candidate by the end of
                 # the chain, which runs through the downstream stages.
-                def score(plan):
+                def score(population):
                     return [
                         self._stage_fitness(
                             contexts, parents, stage, genotype, stage_input, reference_image
                         )
-                        for genotype in plan.population
+                        for genotype in population
                     ]
 
             parents[stage], parent_fitness[stage] = self._generation(

@@ -28,8 +28,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.array.genotype import Genotype
-from repro.core.evolution import ArrayEvalContext, OffspringPlan, ParallelEvolution
-from repro.ea.mutation import population_mutator
+from repro.core.evolution import ArrayEvalContext, ParallelEvolution
+from repro.ea.mutation import Generation, population_mutator
 
 __all__ = ["TwoLevelMutationEvolution"]
 
@@ -64,8 +64,8 @@ class TwoLevelMutationEvolution(ParallelEvolution):
 
     def _generation_offspring(
         self, parent: Genotype, contexts: Sequence[ArrayEvalContext]
-    ) -> OffspringPlan:
-        """Two-level offspring plan.
+    ) -> Generation:
+        """Two-level offspring.
 
         Batch 0: one offspring per array, mutated from the generation's
         parent with the nominal rate ``k``.  Batches 1..: the offspring
@@ -88,6 +88,4 @@ class TwoLevelMutationEvolution(ParallelEvolution):
             else (position - n_slots, self.low_mutation_rate)
             for position in range(self.n_offspring)
         ]
-        return OffspringPlan(
-            population_mutator(parent.spec).offspring(parent, plan, self.rng), n_slots
-        )
+        return population_mutator(parent.spec).offspring(parent, plan, self.rng)

@@ -1,15 +1,14 @@
 """Individuals: a genotype plus its evaluated fitness.
 
-The paper keeps "a different chromosome ... for each array" during cascaded
-evolution, so individuals also carry the index of the array they were
-evaluated on, which the platform-level evolution drivers use for bookkeeping.
+:class:`~repro.ea.strategy.OnePlusLambdaES` reports its final parent as
+one (:attr:`~repro.ea.strategy.EvolutionResult.best`); the search itself
+keeps plain genotypes and fitness lists.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.array.genotype import Genotype
 
@@ -26,37 +25,7 @@ class Individual:
         The candidate circuit description.
     fitness:
         Aggregated MAE fitness (lower is better); ``inf`` until evaluated.
-    array_index:
-        Index of the processing array the candidate was evaluated on
-        (``None`` for single-array evolution).
-    generation:
-        Generation at which the candidate was created.
-    reconfigured_pes:
-        Number of PE positions that had to be partially reconfigured to
-        place this candidate on the fabric (used by the timing model).
     """
 
     genotype: Genotype
     fitness: float = math.inf
-    array_index: Optional[int] = None
-    generation: int = 0
-    reconfigured_pes: int = 0
-
-    @property
-    def evaluated(self) -> bool:
-        """Whether the individual has a finite fitness."""
-        return math.isfinite(self.fitness)
-
-    def better_than(self, other: "Individual") -> bool:
-        """Strictly better (lower aggregated MAE) than ``other``."""
-        return self.fitness < other.fitness
-
-    def copy(self) -> "Individual":
-        """Deep copy (the genotype is copied, bookkeeping preserved)."""
-        return Individual(
-            genotype=self.genotype.copy(),
-            fitness=self.fitness,
-            array_index=self.array_index,
-            generation=self.generation,
-            reconfigured_pes=self.reconfigured_pes,
-        )

@@ -7,16 +7,18 @@ the best offspring replaces the parent if it is at least as good (the
 standard CGP neutral-drift rule, which lets the search walk across fitness
 plateaus), otherwise the parent is kept.
 
-This module is the *single-array* strategy; the platform-level drivers in
-:mod:`repro.core.evolution` reuse it and add the multi-array scheduling
-(parallel offspring distribution, cascaded evolution, imitation) and the
-reconfiguration/evaluation timing accounting.
+The acceptance rule is :func:`select`, the one rule of the repository:
+:class:`OnePlusLambdaES` here (the single-array strategy, and the outer
+loop of the adversarial scenario search) and every platform driver of
+:mod:`repro.core.evolution` pick the next parent through it.  The drivers
+add what only a PE genotype has: placement on the arrays, the Fig. 11
+schedule and the reconfiguration/evaluation timing accounting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,7 +26,22 @@ from repro.array.genotype import Genotype, GenotypeSpec
 from repro.ea.chromosome import Individual
 from repro.ea.mutation import mutate_population
 
-__all__ = ["GenerationRecord", "EvolutionResult", "OnePlusLambdaES"]
+__all__ = ["GenerationRecord", "EvolutionResult", "OnePlusLambdaES", "select"]
+
+
+def select(
+    fitnesses: Sequence[float], parent_fitness: float, accept_equal: bool
+) -> Optional[int]:
+    """The (1+λ) acceptance rule: which offspring, if any, replaces the parent.
+
+    Returns the index of the first strictly-best offspring when it is
+    better than the parent, or equal to it with ``accept_equal`` (CGP
+    neutral drift); ``None`` keeps the parent.  Fitness is lower-is-better.
+    """
+    best = min(fitnesses)
+    if best < parent_fitness or (accept_equal and best == parent_fitness):
+        return fitnesses.index(best)
+    return None
 
 
 @dataclass
@@ -45,7 +62,8 @@ class EvolutionResult:
     Attributes
     ----------
     best:
-        The best individual found.
+        The final parent, the best individual of the run (the acceptance
+        rule never takes a worse offspring).
     history:
         Per-generation records (best offspring fitness, parent fitness,
         reconfiguration count, whether the parent was replaced).
@@ -67,10 +85,6 @@ class EvolutionResult:
     def best_fitness(self) -> float:
         """Fitness of the best individual."""
         return self.best.fitness
-
-    def fitness_trace(self) -> np.ndarray:
-        """Best-so-far parent fitness per generation as a float array."""
-        return np.array([record.parent_fitness for record in self.history], dtype=np.float64)
 
 
 class OnePlusLambdaES:
@@ -103,30 +117,19 @@ class OnePlusLambdaES:
         scores it.  The shipped evaluators route
         this hook through the staged :class:`~repro.ea.pipeline.FitnessPipeline`,
         whose cache tiers only ever serve exact values.
-    generation_hook:
-        Optional hook ``generation_hook(generation)`` fired at the *start*
-        of each generation, before its offspring are drawn or evaluated —
-        the single-array extension point mirroring where the platform
-        drivers fire their compiled scenario events (the shipped scenario
-        path itself lives in :mod:`repro.core.evolution`; this hook is
-        for consumers driving a bare ES who want the same timing, e.g.
-        to inject faults or scrub between generations).  Unlike
-        ``callback`` (which observes the selected parent *after* the
-        generation), this hook may mutate the environment the evaluator
-        measures.
     mutation_operator:
         Optional variation operator ``operator(parent_genotype,
-        mutation_rate, rng)`` returning a
-        :class:`~repro.ea.mutation.MutationResult`-compatible object
-        (``.genotype`` and ``.n_reconfigurations``).  Defaults to the
-        array-genotype mutation, drawn for the whole generation at once by
-        :func:`~repro.ea.mutation.mutate_population`.  Supplying an
-        operator turns the strategy into a generic (1+λ) search over
+        mutation_rate, rng)`` returning the child genotype.  Defaults to
+        the array-genotype mutation, drawn for the whole generation at
+        once by :func:`~repro.ea.mutation.mutate_population`.  Supplying
+        an operator turns the strategy into a generic (1+λ) search over
         arbitrary genotype types (e.g. the adversarial
         :class:`~repro.scenarios.FaultScenario` search in
         :mod:`repro.scenarios.search`); such callers must pass a
-        ``seed_genotype`` (there is no generic random initialiser), and
-        the operator is applied once per offspring.
+        ``seed_genotype`` (there is no generic random initialiser), the
+        operator is applied once per offspring, and its offspring record
+        no reconfigurations.  The final parent's ``copy()`` becomes
+        :attr:`EvolutionResult.best`.
     """
 
     def __init__(
@@ -140,14 +143,13 @@ class OnePlusLambdaES:
         evaluate_population: Optional[
             Callable[[Sequence[Genotype]], Sequence[float]]
         ] = None,
-        generation_hook: Optional[Callable[[int], None]] = None,
         mutation_operator: Optional[Callable] = None,
     ) -> None:
         if n_offspring < 1:
             raise ValueError(f"n_offspring must be >= 1, got {n_offspring}")
         if mutation_operator is None and not 1 <= mutation_rate <= spec.n_genes:
-            # Checked before any run evaluates or fires a hook, as the
-            # platform drivers do; a custom operator defines its own rates.
+            # Checked before any run evaluates, as the platform drivers
+            # do; a custom operator defines its own rates.
             raise ValueError(f"mutation_rate must be in [1, {spec.n_genes}], got {mutation_rate}")
         if mutation_rate < 1:
             raise ValueError(f"mutation_rate must be >= 1, got {mutation_rate}")
@@ -157,41 +159,41 @@ class OnePlusLambdaES:
         self.mutation_rate = mutation_rate
         self.accept_equal = accept_equal
         self.evaluate_population = evaluate_population
-        self.generation_hook = generation_hook
         self.mutation_operator = mutation_operator
         self.rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
     # ------------------------------------------------------------------ #
-    def _offspring(self, parent_genotype) -> list:
-        """The generation's λ offspring, drawn in order from ``self.rng``."""
+    def _offspring(self, parent) -> Tuple[list, int]:
+        """The generation's λ offspring, drawn in order from ``self.rng``,
+        and the reconfigurations they cost."""
         if self.mutation_operator is None:
-            return mutate_population(
-                parent_genotype, self.mutation_rate, self.rng, self.n_offspring
+            generation = mutate_population(
+                parent, self.mutation_rate, self.rng, self.n_offspring
+            )
+            return (
+                [mutation.genotype for mutation in generation],
+                sum(mutation.n_reconfigurations for mutation in generation),
             )
         return [
-            self.mutation_operator(parent_genotype, self.mutation_rate, self.rng)
+            self.mutation_operator(parent, self.mutation_rate, self.rng)
             for _ in range(self.n_offspring)
-        ]
+        ], 0
 
-    def _initial_parent(self, seed_genotype: Optional[Genotype]) -> Individual:
-        if seed_genotype is None and self.mutation_operator is not None:
+    def _initial_parent(self, seed_genotype: Optional[Genotype]):
+        if seed_genotype is not None:
+            return seed_genotype
+        if self.mutation_operator is not None:
             raise ValueError(
                 "a custom mutation_operator requires an explicit seed_genotype "
                 "(no generic random initialiser exists)"
             )
-        genotype = seed_genotype.copy() if seed_genotype is not None else Genotype.random(
-            self.spec, self.rng
-        )
-        parent = Individual(genotype=genotype, generation=0)
-        parent.fitness = self.evaluate(parent.genotype)
-        return parent
+        return Genotype.random(self.spec, self.rng)
 
     def run(
         self,
         n_generations: int,
         seed_genotype: Optional[Genotype] = None,
         target_fitness: Optional[float] = None,
-        callback: Optional[Callable[[int, Individual], None]] = None,
     ) -> EvolutionResult:
         """Run the strategy for ``n_generations`` generations.
 
@@ -206,8 +208,6 @@ class OnePlusLambdaES:
         target_fitness:
             Optional early-stop threshold: evolution stops once the parent
             fitness is at or below this value.
-        callback:
-            Optional per-generation hook ``callback(generation, parent)``.
 
         Returns
         -------
@@ -216,58 +216,33 @@ class OnePlusLambdaES:
         if n_generations < 0:
             raise ValueError("n_generations must be non-negative")
         parent = self._initial_parent(seed_genotype)
-        result = EvolutionResult(best=parent.copy())
-        result.n_evaluations = 1
-
+        parent_fitness = self.evaluate(parent)
+        history: List[GenerationRecord] = []
         for generation in range(1, n_generations + 1):
-            if self.generation_hook is not None:
-                self.generation_hook(generation)
-            best_offspring: Optional[Individual] = None
-            generation_reconfigurations = 0
-            # Draw the whole generation, then score it.
-            mutations = self._offspring(parent.genotype)
-            genotypes = [mutation.genotype for mutation in mutations]
+            genotypes, n_reconfigurations = self._offspring(parent)
             if self.evaluate_population is not None:
-                fitnesses = list(self.evaluate_population(genotypes))
+                fitnesses = [float(value) for value in self.evaluate_population(genotypes)]
             else:
-                fitnesses = [self.evaluate(genotype) for genotype in genotypes]
-            for mutation, fitness in zip(mutations, fitnesses):
-                child = Individual(
-                    genotype=mutation.genotype,
-                    generation=generation,
-                    reconfigured_pes=mutation.n_reconfigurations,
-                )
-                child.fitness = float(fitness)
-                result.n_evaluations += 1
-                generation_reconfigurations += mutation.n_reconfigurations
-                if best_offspring is None or child.fitness < best_offspring.fitness:
-                    best_offspring = child
-
-            assert best_offspring is not None
-            accepted = (
-                best_offspring.fitness < parent.fitness
-                or (self.accept_equal and best_offspring.fitness == parent.fitness)
-            )
-            if accepted:
-                parent = best_offspring
-            result.n_reconfigurations += generation_reconfigurations
-            result.n_generations = generation
-            result.history.append(
+                fitnesses = [float(self.evaluate(genotype)) for genotype in genotypes]
+            chosen = select(fitnesses, parent_fitness, self.accept_equal)
+            if chosen is not None:
+                parent, parent_fitness = genotypes[chosen], fitnesses[chosen]
+            history.append(
                 GenerationRecord(
                     generation=generation,
-                    best_fitness=best_offspring.fitness,
-                    parent_fitness=parent.fitness,
-                    n_reconfigurations=generation_reconfigurations,
-                    accepted=accepted,
+                    best_fitness=min(fitnesses),
+                    parent_fitness=parent_fitness,
+                    n_reconfigurations=n_reconfigurations,
+                    accepted=chosen is not None,
                 )
             )
-            if parent.fitness < result.best.fitness:
-                result.best = parent.copy()
-            if callback is not None:
-                callback(generation, parent)
-            if target_fitness is not None and parent.fitness <= target_fitness:
+            if target_fitness is not None and parent_fitness <= target_fitness:
                 break
 
-        if parent.fitness <= result.best.fitness:
-            result.best = parent.copy()
-        return result
+        return EvolutionResult(
+            best=Individual(genotype=parent.copy(), fitness=parent_fitness),
+            history=history,
+            n_generations=len(history),
+            n_evaluations=1 + len(history) * self.n_offspring,
+            n_reconfigurations=sum(record.n_reconfigurations for record in history),
+        )

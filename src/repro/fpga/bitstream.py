@@ -17,8 +17,8 @@ value in its output" (§VI.D).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict
 
 import numpy as np
 
@@ -80,6 +80,18 @@ class PartialBitstream:
         return function_name(self.function_gene)
 
 
+@functools.lru_cache(maxsize=64)
+def _generate(seed: int, n_frames: int, function_gene: int) -> PartialBitstream:
+    """The PBS of ``function_gene``, a pure function of the three arguments.
+
+    Bitstream words are read-only and the fabric copies them on write, so
+    every library of the process shares one instance per key.
+    """
+    rng = np.random.default_rng((seed, function_gene & 0xFFFF))
+    words = rng.integers(0, 2**32, size=n_frames * FRAME_WORDS, dtype=np.uint32)
+    return PartialBitstream(function_gene=function_gene, words=words, n_frames=n_frames)
+
+
 class BitstreamLibrary:
     """The library of presynthesised PE bitstreams kept in external memory.
 
@@ -98,22 +110,14 @@ class BitstreamLibrary:
         self.pe_clb_columns = pe_clb_columns
         self.n_frames_per_pe = pe_clb_columns * FRAMES_PER_CLB_COLUMN
         self._seed = seed
-        self._cache: Dict[int, PartialBitstream] = {}
 
     @property
     def pe_words(self) -> int:
         """Configuration words per PE bitstream."""
         return self.n_frames_per_pe * FRAME_WORDS
 
-    def _generate(self, function_gene: int) -> PartialBitstream:
-        rng = np.random.default_rng((self._seed, function_gene & 0xFFFF))
-        words = rng.integers(0, 2**32, size=self.pe_words, dtype=np.uint32)
-        return PartialBitstream(
-            function_gene=function_gene, words=words, n_frames=self.n_frames_per_pe
-        )
-
     def get(self, function_gene: int) -> PartialBitstream:
-        """Return the PBS implementing ``function_gene`` (cached).
+        """Return the PBS implementing ``function_gene`` (shared per process).
 
         ``function_gene`` may also be :data:`DUMMY_FAULT_GENE` to obtain the
         fault-injection dummy bitstream.
@@ -124,9 +128,7 @@ class BitstreamLibrary:
                 f"function gene must be in [0, {N_FUNCTIONS - 1}] or DUMMY_FAULT_GENE, "
                 f"got {function_gene}"
             )
-        if function_gene not in self._cache:
-            self._cache[function_gene] = self._generate(function_gene)
-        return self._cache[function_gene]
+        return _generate(self._seed, self.n_frames_per_pe, function_gene)
 
     def dummy_fault(self) -> PartialBitstream:
         """The dummy-PE bitstream used for fault injection."""

@@ -16,8 +16,12 @@ evolutionary machinery at the *scenario space*:
   into the bounds, so every candidate is a valid, JSON-round-tripping
   scenario);
 * the outer loop is the existing
-  :class:`~repro.ea.strategy.OnePlusLambdaES` with a custom
-  ``mutation_operator``, and its fitness is the mission degradation (or
+  :class:`~repro.ea.strategy.OnePlusLambdaES`, which accepts offspring
+  through the same :func:`~repro.ea.strategy.select` rule as the platform
+  drivers, with a custom ``mutation_operator`` that returns the child
+  scenario itself (a scenario has no PEs, so the drivers' placement and
+  reconfiguration accounting does not apply to it, and each offspring
+  records zero reconfigurations); its fitness is the mission degradation (or
   time-to-repair) of a *fixed* §V.A healing policy run through the
   ``scenario-lifecycle`` campaign runner — one
   :class:`~repro.runtime.campaign.CampaignSpec` per search generation, so
@@ -80,7 +84,6 @@ from repro.scenarios.spec import FaultScenario
 __all__ = [
     "ScenarioBounds",
     "RedTeamConfig",
-    "ScenarioMutation",
     "ScenarioGenotypeOperator",
     "ArchiveEntry",
     "ScenarioArchive",
@@ -400,18 +403,6 @@ def crossover_scenarios(
     return clamp_scenario(child, bounds)
 
 
-@dataclass(frozen=True)
-class ScenarioMutation:
-    """Adapter matching :class:`~repro.ea.mutation.MutationResult`'s shape.
-
-    Scenario variation performs no partial reconfiguration, so the
-    reconfiguration count the ES accumulates is always zero.
-    """
-
-    genotype: FaultScenario
-    n_reconfigurations: int = 0
-
-
 class ScenarioGenotypeOperator:
     """The ES ``mutation_operator`` over :class:`FaultScenario` genotypes.
 
@@ -419,7 +410,7 @@ class ScenarioGenotypeOperator:
     parent is first crossed with an archive member drawn from ``rng``,
     then ``mutation_rate`` mutation moves are applied — all draws come
     from the ES's own generator, so one search seed fixes the entire
-    variation stream.
+    variation stream.  A call returns the child scenario.
     """
 
     def __init__(
@@ -434,7 +425,7 @@ class ScenarioGenotypeOperator:
 
     def __call__(
         self, parent: FaultScenario, mutation_rate: int, rng: np.random.Generator
-    ) -> ScenarioMutation:
+    ) -> FaultScenario:
         scenario = parent
         if (
             self.crossover_rate > 0
@@ -446,7 +437,7 @@ class ScenarioGenotypeOperator:
             scenario = crossover_scenarios(scenario, mate.scenario, self.bounds, rng)
         for _ in range(int(mutation_rate)):
             scenario = mutate_scenario(scenario, self.bounds, rng)
-        return ScenarioMutation(genotype=scenario)
+        return scenario
 
 
 # --------------------------------------------------------------------------- #

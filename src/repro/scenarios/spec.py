@@ -144,10 +144,9 @@ class FaultScenario(_ConfigBase):
     def copy(self) -> "FaultScenario":
         """Return ``self`` — scenarios are frozen, so no copy is needed.
 
-        Exists so a scenario can serve as an
-        :class:`~repro.ea.chromosome.Individual` genotype in the
-        adversarial search (:mod:`repro.scenarios.search`), where the
-        (1+λ) strategy copies genotypes when recording parents.
+        Exists so a scenario can serve as a genotype of the adversarial
+        search (:mod:`repro.scenarios.search`), whose (1+λ) strategy
+        copies its final parent into the result.
         """
         return self
 

@@ -218,8 +218,7 @@ class TestMutatePopulation:
         reference_rng = np.random.default_rng(4)
         offspring = driver._generation_offspring(parent, contexts)
         expected = reference_plan(parent, two_level_plan(3, 1, 3, 9), reference_rng)
-        assert [slot for slot, _ in offspring] == [position % 3 for position in range(9)]
-        assert_same_generation(expected, [m for _, m in offspring], reference_rng, driver.rng)
+        assert_same_generation(expected, offspring, reference_rng, driver.rng)
 
     @pytest.mark.parametrize("kind, offset", [("floyd", 8), ("shuffle", 11), ("value", 13)])
     def test_forced_lemire_rejection(self, kind, offset):

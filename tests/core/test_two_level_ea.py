@@ -73,18 +73,16 @@ class TestTwoLevelMutationEvolution:
         plan = driver._generation_offspring(parent, contexts)
 
         assert len(plan) == 9
-        slots = [slot for slot, _ in plan]
-        assert slots == [0, 1, 2, 0, 1, 2, 0, 1, 2]
         # Batch 0: distance k from the parent.
-        for slot, mutation in plan[:3]:
+        for mutation in plan[:3]:
             assert parent.hamming_distance(mutation.genotype) == 4
         # Batch 1: distance 1 from the batch-0 chromosome of the same slot.
-        for index, (slot, mutation) in enumerate(plan[3:6]):
-            previous = plan[index][1].genotype
+        for index, mutation in enumerate(plan[3:6]):
+            previous = plan[index].genotype
             assert previous.hamming_distance(mutation.genotype) == 1
         # Batch 2: distance 1 from the batch-1 chromosome of the same slot.
-        for index, (slot, mutation) in enumerate(plan[6:9]):
-            previous = plan[3 + index][1].genotype
+        for index, mutation in enumerate(plan[6:9]):
+            previous = plan[3 + index].genotype
             assert previous.hamming_distance(mutation.genotype) == 1
 
     def test_invalid_low_rate(self, platform):

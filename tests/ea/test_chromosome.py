@@ -9,25 +9,4 @@ from repro.ea.chromosome import Individual
 class TestIndividual:
     def test_unevaluated_by_default(self, spec, rng):
         individual = Individual(genotype=Genotype.random(spec, rng))
-        assert not individual.evaluated
         assert math.isinf(individual.fitness)
-
-    def test_better_than(self, spec, rng):
-        a = Individual(genotype=Genotype.random(spec, rng), fitness=10.0)
-        b = Individual(genotype=Genotype.random(spec, rng), fitness=20.0)
-        assert a.better_than(b)
-        assert not b.better_than(a)
-        assert not a.better_than(a)
-
-    def test_copy_independent(self, spec, rng):
-        original = Individual(
-            genotype=Genotype.random(spec, rng), fitness=5.0, array_index=2,
-            generation=7, reconfigured_pes=3,
-        )
-        clone = original.copy()
-        assert clone.fitness == original.fitness
-        assert clone.array_index == original.array_index
-        assert clone.generation == original.generation
-        assert clone.reconfigured_pes == original.reconfigured_pes
-        clone.genotype.output_select = (clone.genotype.output_select + 1) % spec.rows
-        assert original.genotype != clone.genotype

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.array.genotype import Genotype
-from repro.ea.strategy import OnePlusLambdaES
+from repro.ea.strategy import OnePlusLambdaES, select
 
 
 def _counting_fitness(spec):
@@ -26,7 +26,7 @@ class TestOnePlusLambda:
         es = OnePlusLambdaES(_counting_fitness(spec), spec=spec, n_offspring=4,
                              mutation_rate=2, rng=0)
         result = es.run(n_generations=40)
-        trace = result.fitness_trace()
+        trace = [record.parent_fitness for record in result.history]
         assert np.all(np.diff(trace) <= 0)  # parent never gets worse
 
     def test_improves_over_random(self, spec):
@@ -65,13 +65,6 @@ class TestOnePlusLambda:
         assert result.history[0].generation == 1
         assert all(r.n_reconfigurations >= 0 for r in result.history)
 
-    def test_callback_invoked(self, spec):
-        calls = []
-        es = OnePlusLambdaES(_counting_fitness(spec), spec=spec, n_offspring=2,
-                             mutation_rate=1, rng=0)
-        es.run(n_generations=5, callback=lambda gen, parent: calls.append(gen))
-        assert calls == [1, 2, 3, 4, 5]
-
     def test_zero_generations(self, spec):
         es = OnePlusLambdaES(_counting_fitness(spec), spec=spec, rng=0)
         result = es.run(n_generations=0)
@@ -89,14 +82,13 @@ class TestOnePlusLambda:
 
     def test_mutation_rate_above_gene_count_rejected_before_any_work(self, spec):
         """An over-large rate fails at construction, before the initial
-        parent is evaluated or a generation hook fires."""
+        parent is evaluated."""
         calls = []
         with pytest.raises(ValueError, match="mutation_rate"):
             OnePlusLambdaES(
                 lambda genotype: calls.append("eval") or 0.0,
                 spec=spec,
                 mutation_rate=spec.n_genes + 1,
-                generation_hook=calls.append,
             )
         assert calls == []
         # The top of the range is still accepted, and a custom operator
@@ -119,41 +111,18 @@ class TestOnePlusLambda:
         assert result.best.genotype == seed
 
 
-class TestGenerationHook:
-    """The scenario-style pre-generation hook of the single-array ES."""
+class TestSelect:
+    """The one (1+λ) acceptance rule shared by the ES and every driver."""
 
-    def test_hook_fires_before_each_generation_and_can_mutate_the_env(self, spec):
-        environment = {"penalty": 0.0}
-        hook_calls = []
+    def test_better_offspring_replaces_the_parent(self):
+        assert select([4.0, 2.0, 3.0], 5.0, accept_equal=False) == 1
 
-        def hook(generation):
-            hook_calls.append(generation)
-            # A fault-timeline-style environment change: evaluations of
-            # this generation must already see the new penalty.
-            environment["penalty"] = float(generation * 1000)
+    def test_first_of_tied_best_offspring_is_chosen(self):
+        assert select([3.0, 1.0, 2.0, 1.0], 5.0, accept_equal=True) == 1
 
-        seen_penalties = []
+    def test_worse_offspring_keep_the_parent(self):
+        assert select([6.0, 7.0, math.inf], 5.0, accept_equal=True) is None
 
-        def evaluate(genotype):
-            seen_penalties.append(environment["penalty"])
-            return environment["penalty"]
-
-        es = OnePlusLambdaES(evaluate, spec=spec, n_offspring=3, mutation_rate=1,
-                             rng=0, generation_hook=hook)
-        es.run(n_generations=4)
-        assert hook_calls == [1, 2, 3, 4]
-        # The initial parent evaluation happens before any hook; every
-        # generation's offspring see that generation's environment.
-        assert seen_penalties[0] == 0.0
-        assert seen_penalties[1:] == [1000.0] * 3 + [2000.0] * 3 + [3000.0] * 3 + [4000.0] * 3
-
-    def test_hook_composes_with_population_batching(self, spec):
-        calls = []
-        fitness = _counting_fitness(spec)
-        es = OnePlusLambdaES(fitness, spec=spec, n_offspring=3, mutation_rate=1, rng=0,
-                             evaluate_population=lambda genotypes: [
-                                 fitness(genotype) for genotype in genotypes
-                             ],
-                             generation_hook=calls.append)
-        es.run(n_generations=3)
-        assert calls == [1, 2, 3]
+    def test_equal_offspring_replaces_the_parent_only_with_neutral_drift(self):
+        assert select([7.0, 5.0, 5.0], 5.0, accept_equal=True) == 1
+        assert select([7.0, 5.0, 5.0], 5.0, accept_equal=False) is None

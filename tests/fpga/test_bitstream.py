@@ -5,6 +5,7 @@ import pytest
 
 from repro.array.pe_library import N_FUNCTIONS
 from repro.fpga.bitstream import DUMMY_FAULT_GENE, BitstreamLibrary, PartialBitstream
+from repro.fpga.fabric import FpgaFabric, RegionAddress
 from repro.fpga.icap import FRAME_WORDS
 
 
@@ -65,3 +66,23 @@ class TestBitstreamLibrary:
             PartialBitstream(function_gene=0, words=np.zeros(41, dtype=np.uint64), n_frames=1)
         with pytest.raises(ValueError):
             PartialBitstream(function_gene=0, words=np.zeros(40, dtype=np.uint32), n_frames=1)
+
+
+class TestSharedContent:
+    """Bitstream content is shared by every library of the process."""
+
+    def test_libraries_share_one_instance_per_key(self):
+        assert BitstreamLibrary().get(5) is BitstreamLibrary().get(5)
+        assert BitstreamLibrary(seed=1).get(5) is not BitstreamLibrary().get(5)
+        assert BitstreamLibrary(pe_clb_columns=1).get(5).n_frames == 36
+
+    def test_corrupting_one_fabric_leaves_the_shared_words_intact(self):
+        first, second = FpgaFabric(n_arrays=1, seed=3), FpgaFabric(n_arrays=1, seed=4)
+        address = RegionAddress(0, 1, 2)
+        golden = first.library.get(first.region(address).configured_gene)
+        assert second.library.get(second.region(address).configured_gene) is golden
+        pristine = golden.words.copy()
+        first.corrupt_region(address, bit_index=5)
+        assert not first.verify_region(address)
+        assert second.verify_region(address)
+        assert np.array_equal(golden.words, pristine)

@@ -42,3 +42,31 @@ def test_a_digest_mismatch_fails(monkeypatch):
     monkeypatch.setattr(tool, "run_pair", lambda *args: outcome)
     argv = ["--base", str(REPO_ROOT), "--change", str(REPO_ROOT), "--pairs", "1", "--ops", "1"]
     assert tool.main(argv) == 1
+
+
+def test_headline_is_the_median_per_pair_ratio(monkeypatch, capsys):
+    """Host drift between pairs must not flip the headline.
+
+    The change wins two of three pairs by 1%, but its per-side median
+    comes from the one pair it loses, so comparing per-side medians would
+    read +33%.
+    """
+    tool = _tool()
+    pairs = iter([(10.0, 9.9), (30.0, 40.0), (50.0, 49.5)])
+
+    def run_pair(*args):
+        base, change = next(pairs)
+        return {
+            "base": {"cpu_ms": [base], "mismatches": []},
+            "change": {"cpu_ms": [change], "mismatches": []},
+        }
+
+    monkeypatch.setattr(tool, "run_pair", run_pair)
+    argv = ["--base", str(REPO_ROOT), "--change", str(REPO_ROOT), "--pairs", "3", "--json"]
+    assert tool.main(argv) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    result = json.loads(out[-1])
+    assert result["median_ratio"] == 0.99
+    assert result["change_faster"] == 2
+    assert result["median_ms"] == {"base": 30.0, "change": 40.0}
+    assert "median per-pair change/base: -1.0%" in out[-2]
