@@ -611,23 +611,11 @@ class NumpyBackend(EvaluationBackend):
         cand_intern = store.cand_intern
         cand_intern_get = cand_intern.get
 
-        # Reference lowering for prefix resume: the walk is deterministic
-        # and hash-consed, so two candidates whose consumed genes agree on
-        # rows 0..r-1 reach *identical* node ids after those rows.  The
-        # first fully walked fault-free candidate of the call donates
-        # per-row state snapshots; later candidates (mutated siblings
-        # sharing most of their genes) resume from the snapshot after their
-        # common prefix instead of re-walking it.  Never used on a faulty
-        # array, where the walk embeds per-candidate draw ids.
-        ref_key: Optional[bytes] = None
-        ref_depth = -1
-        ref_east: List[int] = []
-        ref_north: List[List[int]] = []
         # Each key is the candidate's gene bytes (function genes row-major,
         # then west and north muxes) plus its output row: one byte string
-        # that is the memo key and makes prefix comparisons C-speed slices.
+        # that is the memo key and that the walk reads its genes from.
         west0 = n_pes
-        north0, north1 = n_pes + rows, n_pes + rows + cols
+        north0 = n_pes + rows
 
         for b, key in enumerate(keys):
             out_row = outputs[b]
@@ -644,99 +632,59 @@ class NumpyBackend(EvaluationBackend):
                         single_value = force(vid)
                         single_owned = False
                     continue
-            start_row = 0
-            walk = True
-            north_ids: Optional[List[int]] = None
-            if ref_key is not None and key[north0:north1] == ref_key[north0:north1]:
-                match = 0
-                while match <= out_row:
-                    base = match * cols
-                    if (
-                        key[west0 + match] != ref_key[west0 + match]
-                        or key[base : base + cols] != ref_key[base : base + cols]
-                    ):
-                        break
-                    match += 1
-                if match > out_row and out_row <= ref_depth:
-                    # Every consumed gene matches the reference: the output
-                    # node is the reference's east output of out_row.
-                    vid = ref_east[out_row]
-                    walk = False
-                else:
-                    start_row = match if match <= ref_depth else ref_depth + 1
-                    if start_row:
-                        north_ids = ref_north[start_row - 1].copy()
-            if walk:
-                record = fault_free and ref_key is None
-                if north_ids is None:
-                    north_ids = [input_ids[key[north0 + c]] for c in range(cols)]
-                # Dead-PE elimination: rows below the selected output row
-                # cannot reach the output PE, so the sweep stops at out_row.
-                for r in range(start_row, out_row + 1):
-                    vid = input_ids[key[west0 + r]]
-                    base = r * cols
-                    for c in range(cols):
-                        if not fault_free and (r, c) in fault_planes:
-                            next_call_id -= 1
-                            call_values[next_call_id] = fault_planes[(r, c)][b]
-                            vid = next_call_id
-                            north_ids[c] = vid
-                            continue
-                        gene = key[base + c]
-                        if arity2[gene]:
-                            nid = north_ids[c]
-                            if vid >= 0 and nid >= 0:
-                                # Signatures pack into one int (ids < 2**21 by
-                                # the node budget): faster to hash than tuples.
-                                if nid < vid and commutative[gene]:
-                                    sig = ((nid << 21) | vid) << 4 | gene
-                                else:
-                                    sig = ((vid << 21) | nid) << 4 | gene
-                                cached = intern_get(sig)
-                                if cached is None:
-                                    cached = len(values)
-                                    values.append(None)
-                                    specs[cached] = (gene, vid, nid)
-                                    intern[sig] = cached
-                                vid = cached
-                            else:
-                                next_call_id -= 1
-                                call_values[next_call_id] = None
-                                call_specs[next_call_id] = (gene, vid, nid)
-                                vid = next_call_id
-                        elif gene == _IDENTITY_W:
-                            pass  # output aliases the west input: vid unchanged
-                        elif gene == _IDENTITY_N:
-                            vid = north_ids[c]
-                            continue  # north_ids[c] already holds vid
-                        elif gene == _CONST_MAX:
-                            if store.const_id < 0:
-                                store.const_id = len(values)
-                                values.append(np.full((h, w), 255, dtype=np.uint8))
-                            vid = store.const_id
-                        elif vid >= 0:  # remaining genes are arity 1 on west
-                            sig = ((vid << 21) | _NO_NORTH) << 4 | gene
-                            cached = intern_get(sig)
-                            if cached is None:
-                                cached = len(values)
-                                values.append(None)
-                                specs[cached] = (gene, vid, _NO_NORTH)
-                                intern[sig] = cached
-                            vid = cached
-                        else:
-                            next_call_id -= 1
-                            call_values[next_call_id] = None
-                            call_specs[next_call_id] = (gene, vid, _NO_NORTH)
-                            vid = next_call_id
+            north_ids = [input_ids[key[north0 + c]] for c in range(cols)]
+            # Dead-PE elimination: rows below the selected output row
+            # cannot reach the output PE, so the sweep stops at out_row.
+            for r in range(out_row + 1):
+                vid = input_ids[key[west0 + r]]
+                base = r * cols
+                for c in range(cols):
+                    if not fault_free and (r, c) in fault_planes:
+                        next_call_id -= 1
+                        call_values[next_call_id] = fault_planes[(r, c)][b]
+                        vid = next_call_id
                         north_ids[c] = vid
-                    # vid now holds east[r]; after the final row this is the
-                    # selected output node (r == out_row, c == cols - 1).
-                    if record:
-                        ref_east.append(vid)
-                        ref_north.append(north_ids.copy())
-                if record:
-                    ref_key = key
-                    ref_depth = out_row
+                        continue
+                    gene = key[base + c]
+                    if arity2[gene]:
+                        nid = north_ids[c]
+                    elif gene == _IDENTITY_W:
+                        north_ids[c] = vid  # output aliases the west input
+                        continue
+                    elif gene == _IDENTITY_N:
+                        vid = north_ids[c]
+                        continue  # north_ids[c] already holds vid
+                    elif gene == _CONST_MAX:
+                        if store.const_id < 0:
+                            store.const_id = len(values)
+                            values.append(np.full((h, w), 255, dtype=np.uint8))
+                        vid = north_ids[c] = store.const_id
+                        continue
+                    else:  # remaining genes are arity 1 on west
+                        nid = _NO_NORTH
+                    if vid >= 0 and nid >= 0:
+                        # Signatures pack into one int (ids < 2**21 by the
+                        # node budget): faster to hash than tuples.  Every
+                        # id is below _NO_NORTH, so arity-1 genes never swap.
+                        if nid < vid and commutative[gene]:
+                            sig = ((nid << 21) | vid) << 4 | gene
+                        else:
+                            sig = ((vid << 21) | nid) << 4 | gene
+                        cached = intern_get(sig)
+                        if cached is None:
+                            cached = len(values)
+                            values.append(None)
+                            specs[cached] = (gene, vid, nid)
+                            intern[sig] = cached
+                        vid = cached
+                    else:
+                        next_call_id -= 1
+                        call_values[next_call_id] = None
+                        call_specs[next_call_id] = (gene, vid, nid)
+                        vid = next_call_id
+                    north_ids[c] = vid
+                # vid now holds east[r]; after the final row this is the
+                # selected output node (r == out_row, c == cols - 1).
             if fault_free:
                 cand_intern[key] = vid
             if reduce_mode:

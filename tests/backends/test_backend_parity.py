@@ -20,7 +20,8 @@ from repro.backends.numpy_engine import _KERNELS, NumpyBackend
 from repro.core.evolution import ArrayEvalContext
 from repro.core.modes import ProcessingMode
 from repro.core.platform import EvolvableHardwarePlatform
-from repro.ea.mutation import mutate
+from repro.ea.mutation import mutate, mutate_population
+from repro.ea.strategy import select
 from repro.imaging.metrics import sae
 
 SPEC = GenotypeSpec()
@@ -130,6 +131,36 @@ class TestRandomCircuits:
             numpy_array.process_planes(planes, genotype),
             reference.process_planes(planes, genotype),
         )
+
+    def test_node_ids_do_not_depend_on_batching(self):
+        """A generation scored whole or one candidate per call interns alike.
+
+        Node ids are a pure function of the order in which candidates are
+        lowered, not of how calls batch them: the invariant that lets
+        memo hits cross calls.
+        """
+        planes = extract_windows(_image())
+        target = _image(seed=1)
+        batched, single = NumpyBackend(), NumpyBackend()
+        batched_array = SystolicArray(backend=batched)
+        single_array = SystolicArray(backend=single)
+        rng = np.random.default_rng(11)
+        parent, parent_fitness = Genotype.random(SPEC, rng), float("inf")
+        for _ in range(20):
+            population = mutate_population(parent, 3, rng, 9).population
+            fitnesses = batched_array.evaluate_population(planes, population, target).tolist()
+            one_by_one = [
+                single_array.evaluate_population(planes, [genotype], target)[0]
+                for genotype in population
+            ]
+            assert fitnesses == one_by_one
+            chosen = select(fitnesses, parent_fitness, accept_equal=True)
+            if chosen is not None:
+                parent, parent_fitness = population.detached(chosen), fitnesses[chosen]
+        (batched_store,) = batched._stores.values()
+        (single_store,) = single._stores.values()
+        assert batched_store.intern == single_store.intern
+        assert len(batched_store.values) == len(single_store.values)
 
     def test_tiny_cache_budget_stays_correct(self):
         planes = extract_windows(_image())
