@@ -9,17 +9,22 @@ something an engineer can read or plot:
 * :func:`phenotype_graph` — the circuit's data-flow graph as a
   :class:`networkx.DiGraph`, with array inputs, PEs and the output node, so
   standard graph tooling (drawing, path analysis, dominators) can be applied.
+
+:mod:`networkx` is imported inside :func:`phenotype_graph`, so ``import repro``
+does not load it (pinned by ``tests/test_import_budget.py``).
 """
 
 from __future__ import annotations
 
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.analysis.activity import active_pes
 from repro.array.genotype import Genotype
 from repro.array.pe_library import FUNCTION_ARITY, PEFunction
 from repro.array.window import window_offsets
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = ["describe_genotype", "phenotype_graph"]
 
@@ -72,6 +77,8 @@ def phenotype_graph(genotype: Genotype) -> "nx.DiGraph":
     consuming input; only inputs the configured function actually uses are
     present.
     """
+    import networkx as nx
+
     spec = genotype.spec
     graph = nx.DiGraph()
     active = active_pes(genotype)

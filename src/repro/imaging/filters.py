@@ -10,12 +10,15 @@ All filters accept and return 8-bit grayscale images and use the same
 border convention as the evolvable array: the output is computed for every
 pixel using a 3x3 neighbourhood obtained with edge replication, so the
 output has the same shape as the input.
+
+:mod:`scipy.ndimage` is imported inside the filters that use it, so
+``import repro`` does not load scipy (pinned by
+``tests/test_import_budget.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "identity_filter",
@@ -45,6 +48,8 @@ def median_filter(image: np.ndarray, size: int = 3) -> np.ndarray:
     image = _check_image(image)
     if size < 1 or size % 2 == 0:
         raise ValueError(f"size must be an odd positive integer, got {size}")
+    from scipy import ndimage
+
     return ndimage.median_filter(image, size=size, mode="nearest").astype(np.uint8)
 
 
@@ -53,6 +58,8 @@ def mean_filter(image: np.ndarray, size: int = 3) -> np.ndarray:
     image = _check_image(image)
     if size < 1 or size % 2 == 0:
         raise ValueError(f"size must be an odd positive integer, got {size}")
+    from scipy import ndimage
+
     out = ndimage.uniform_filter(image.astype(np.float64), size=size, mode="nearest")
     return np.clip(np.rint(out), 0, 255).astype(np.uint8)
 
@@ -62,6 +69,8 @@ def gaussian_filter(image: np.ndarray, sigma: float = 1.0) -> np.ndarray:
     image = _check_image(image)
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
+    from scipy import ndimage
+
     out = ndimage.gaussian_filter(image.astype(np.float64), sigma=sigma, mode="nearest")
     return np.clip(np.rint(out), 0, 255).astype(np.uint8)
 
@@ -75,6 +84,8 @@ def sobel_edges(image: np.ndarray) -> np.ndarray:
     to an edge-detection filter").
     """
     image = _check_image(image)
+    from scipy import ndimage
+
     img = image.astype(np.float64)
     gx = ndimage.sobel(img, axis=1, mode="nearest")
     gy = ndimage.sobel(img, axis=0, mode="nearest")

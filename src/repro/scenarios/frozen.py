@@ -66,7 +66,6 @@ FROZEN_PROVENANCE: Dict[str, Dict[str, Any]] = {'redteam-burst-cascade': {'archi
                                              'name': 'red-team',
                                              'noise_level': 0.1,
                                              'objective': 'time-to-repair',
-                                             'population_batching': True,
                                              'seed': 2013},
                            'search_generation': 10,
                            'strictly_worst': True},
@@ -112,7 +111,6 @@ FROZEN_PROVENANCE: Dict[str, Dict[str, Any]] = {'redteam-burst-cascade': {'archi
                                             'name': 'red-team',
                                             'noise_level': 0.1,
                                             'objective': 'degradation',
-                                            'population_batching': True,
                                             'seed': 2013},
                           'search_generation': 1,
                           'strictly_worst': True}}

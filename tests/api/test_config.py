@@ -80,8 +80,9 @@ class TestRoundTrip:
         from repro.scenarios.frozen import FROZEN_PROVENANCE, FROZEN_SCENARIOS
         from repro.scenarios.search import RedTeamConfig
 
-        data = FROZEN_PROVENANCE[FROZEN_SCENARIOS[0]]["search_config"]
-        assert data["population_batching"] is True
+        frozen = FROZEN_PROVENANCE[FROZEN_SCENARIOS[0]]["search_config"]
+        assert "population_batching" not in frozen
+        data = dict(frozen, population_batching=True)
         with pytest.warns(DeprecationWarning, match="population_batching") as caught:
             config = RedTeamConfig.from_dict(data)
         assert len(caught) == 1
