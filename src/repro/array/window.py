@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["WINDOW_SIZE", "N_WINDOW_PIXELS", "extract_windows", "window_offsets"]
+__all__ = ["WINDOW_SIZE", "N_WINDOW_PIXELS", "extract_windows", "freeze_planes", "window_offsets"]
 
 #: Window side (3x3 windows, as in the paper).
 WINDOW_SIZE = 3
@@ -70,3 +70,12 @@ def extract_windows(image: np.ndarray) -> np.ndarray:
     for k, (dy, dx) in enumerate(window_offsets()):
         planes[k] = padded[half + dy : half + dy + h, half + dx : half + dx + w]
     return planes
+
+
+def freeze_planes(planes: np.ndarray) -> np.ndarray:
+    """``planes`` copied onto an immutable ``bytes`` buffer.
+
+    Window planes that can never change spare the backend's plane stores
+    their per-call byte compare against in-place edits.
+    """
+    return np.frombuffer(planes.tobytes(), dtype=planes.dtype).reshape(planes.shape)

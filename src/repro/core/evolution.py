@@ -8,7 +8,9 @@ all of them share the same building blocks:
 * candidates are (1+λ)-style offspring of a per-array parent chromosome,
   produced by the mutation operator of :mod:`repro.ea.mutation`, and the
   next parent is picked by :func:`repro.ea.strategy.select`, the
-  acceptance rule the standalone ES uses too;
+  acceptance rule the generic scenario-search ES uses too (the paper's
+  single-array system, §III.A, is :class:`ParallelEvolution` with
+  ``n_arrays=1``);
 * the *reconfiguration cost* of placing a candidate on an array is the
   number of PE positions whose function gene differs from what is currently
   configured on that array — exactly what the shared reconfiguration engine
@@ -48,7 +50,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.array.genotype import Genotype, Population
-from repro.array.window import extract_windows
+from repro.array.window import extract_windows, freeze_planes
 from repro.backends.fitness_cache import PersistentFitnessCache
 from repro.core.modes import CascadeFitnessMode, CascadeSchedule
 from repro.core.platform import EvolvableHardwarePlatform
@@ -120,16 +122,6 @@ class PlatformEvolutionResult:
         return np.asarray(self.fitness_history.get(array_index, []), dtype=np.float64)
 
 
-def _frozen_windows(image: np.ndarray) -> np.ndarray:
-    """The window planes of ``image`` over an immutable buffer.
-
-    Planes that can never change spare the backend's plane stores their
-    per-call byte compare against in-place edits.
-    """
-    planes = extract_windows(image)
-    return np.frombuffer(planes.tobytes(), dtype=np.uint8).reshape(planes.shape)
-
-
 class ArrayEvalContext:
     """Cached evaluation context for one array and one training image.
 
@@ -154,7 +146,7 @@ class ArrayEvalContext:
         self.array_index = array_index
         self.acb = platform.acb(array_index)
         self.training_image = np.asarray(training_image)
-        self.planes = _frozen_windows(self.training_image)
+        self.planes = freeze_planes(extract_windows(self.training_image))
         # Function genes currently placed on the array's fabric regions (a
         # region holding no function, -1, reads 255: never a function gene).
         self.placed_functions = platform.fabric.configured_genes(array_index).astype(np.uint8)
@@ -164,7 +156,7 @@ class ArrayEvalContext:
     def retarget(self, training_image: np.ndarray) -> None:
         """Switch the training image (cascaded evolution stages)."""
         self.training_image = np.asarray(training_image)
-        self.planes = _frozen_windows(self.training_image)
+        self.planes = freeze_planes(extract_windows(self.training_image))
         # Cached fitnesses were computed on the previous planes.
         self.pipeline.invalidate()
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.array.genotype import Genotype, GenotypeSpec
 from repro.array.systolic_array import ArrayGeometry
-from repro.array.window import extract_windows
+from repro.array.window import extract_windows, freeze_planes
 from repro.core.acb import ArrayControlBlock
 from repro.core.modes import ProcessingMode
 from repro.core.voter import FitnessVoter, PixelVoter
@@ -367,17 +367,16 @@ class EvolvableHardwarePlatform:
         """The ``(9, H, W)`` window planes of a detection image, extracted once.
 
         Byte-identical images (same dtype, shape and pixels) get the *same*
-        read-only planes object back, so each array's backend keeps one
-        memoised store for them across monitoring cycles.  The held key is
-        a snapshot of the image's bytes: mutating the image in place, or
-        passing a different one, extracts afresh.
+        planes object back, so each array's backend keeps one memoised
+        store for them across monitoring cycles.  The planes view an
+        immutable buffer, so that store skips its per-call byte compare.
+        The held key is a snapshot of the image's bytes: mutating the
+        image in place, or passing a different one, extracts afresh.
         """
         image = np.asarray(image)
         key = (image.dtype.str, image.shape, image.tobytes())
         if key != self._held_key:
-            planes = extract_windows(image)
-            planes.flags.writeable = False
-            self._held_key, self._held_planes = key, planes
+            self._held_key, self._held_planes = key, freeze_planes(extract_windows(image))
         return self._held_planes
 
     def detection_fitness(self, image: np.ndarray,

@@ -1,11 +1,11 @@
 """The staged fitness pipeline: one evaluation path for every consumer.
 
-Every fitness request of the reproduction — the (1+λ) ES
-(:mod:`repro.ea.strategy` via :mod:`repro.ea.fitness`), the platform
-drivers (:mod:`repro.core.evolution`, :mod:`repro.core.two_level_ea`)
-and, through them, both evaluation backends — flows through a
-:class:`FitnessPipeline`.  The drivers' one generation step hands each
-array its whole share of the offspring population in a single
+Every circuit fitness request of the reproduction — from the platform
+drivers (:mod:`repro.core.evolution`, :mod:`repro.core.two_level_ea`),
+through each array's :class:`~repro.core.evolution.ArrayEvalContext`, to
+both evaluation backends — flows through a :class:`FitnessPipeline`.
+The drivers' one generation step hands each array its whole share of
+the offspring population in a single
 :meth:`FitnessPipeline.evaluate_population` call; a single-candidate
 :meth:`FitnessPipeline.evaluate` serves the reporting-grade parent
 evaluations.  The pipeline runs three stages, each of which either

@@ -8,23 +8,26 @@ standard CGP neutral-drift rule, which lets the search walk across fitness
 plateaus), otherwise the parent is kept.
 
 The acceptance rule is :func:`select`, the one rule of the repository:
-:class:`OnePlusLambdaES` here (the single-array strategy, and the outer
-loop of the adversarial scenario search) and every platform driver of
-:mod:`repro.core.evolution` pick the next parent through it.  The drivers
-add what only a PE genotype has: placement on the arrays, the Fig. 11
-schedule and the reconfiguration/evaluation timing accounting.
+every platform driver of :mod:`repro.core.evolution` and the generic
+:class:`OnePlusLambdaES` here pick the next parent through it.
+
+Circuit genotypes evolve only through the platform drivers, which add
+what only a PE genotype has: placement on the arrays, the Fig. 11
+schedule and the reconfiguration/evaluation timing accounting.  The
+paper's single-array system (§III.A) is the one-array parallel run,
+``ParallelEvolution(platform, n_arrays=1)`` (or ``strategy="parallel"``
+with ``options={"n_arrays": 1}`` through :mod:`repro.api`).
+:class:`OnePlusLambdaES` is the same loop over a genome with no PEs to
+place, such as the adversarial :class:`~repro.scenarios.FaultScenario`
+search of :mod:`repro.scenarios.search`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Union
 
 import numpy as np
-
-from repro.array.genotype import Genotype, GenotypeSpec
-from repro.ea.chromosome import Individual
-from repro.ea.mutation import mutate_population
 
 __all__ = ["GenerationRecord", "EvolutionResult", "OnePlusLambdaES", "select"]
 
@@ -51,7 +54,6 @@ class GenerationRecord:
     generation: int
     best_fitness: float
     parent_fitness: float
-    n_reconfigurations: int
     accepted: bool
 
 
@@ -62,137 +64,95 @@ class EvolutionResult:
     Attributes
     ----------
     best:
-        The final parent, the best individual of the run (the acceptance
-        rule never takes a worse offspring).
+        The final parent genome, the best of the run (the acceptance rule
+        never takes a worse offspring).
+    best_fitness:
+        Its fitness.
     history:
         Per-generation records (best offspring fitness, parent fitness,
-        reconfiguration count, whether the parent was replaced).
+        whether the parent was replaced).
     n_generations:
         Number of generations executed.
     n_evaluations:
         Total number of candidate evaluations.
-    n_reconfigurations:
-        Total number of per-PE partial reconfigurations performed.
     """
 
-    best: Individual
+    best: Any
+    best_fitness: float
     history: List[GenerationRecord] = field(default_factory=list)
     n_generations: int = 0
     n_evaluations: int = 0
-    n_reconfigurations: int = 0
-
-    @property
-    def best_fitness(self) -> float:
-        """Fitness of the best individual."""
-        return self.best.fitness
 
 
 class OnePlusLambdaES:
-    """A (1+λ) evolution strategy over :class:`~repro.array.genotype.Genotype`.
+    """A (1+λ) evolution strategy over any genome.
 
     Parameters
     ----------
-    evaluate:
-        Callable mapping a genotype to its (lower-is-better) fitness.
-    spec:
-        Genotype spec used when drawing the random initial parent.
+    evaluate_population:
+        Maps a sequence of genomes to their (lower-is-better) fitnesses,
+        in order.  Each generation's λ offspring are scored through one
+        call, and the seed parent through one call as a population of one.
+    mutation_operator:
+        Variation operator ``operator(parent, mutation_rate, rng)``
+        returning the child genome, applied once per offspring in order.
+        It must leave ``parent`` unchanged.
     n_offspring:
-        λ — offspring per generation (the paper generates nine chromosomes
-        per generation in the multi-array experiments; the single-array
-        default here is 8, the λ used in the original single-array system).
+        λ — offspring per generation.
     mutation_rate:
-        k — genes mutated per offspring.
+        k — the operator's mutation strength, at least 1.
     rng:
-        Seed or generator.
+        Seed or generator; every variation is drawn from it.
     accept_equal:
         Whether an offspring with fitness equal to the parent replaces it
         (CGP neutral drift).  Default ``True``.
-    evaluate_population:
-        Optional population evaluator mapping a sequence of genotypes to
-        their fitnesses in order (e.g.
-        ``FitnessEvaluator.evaluate_population``).  When provided, each
-        generation's λ offspring are scored through one call instead of λ
-        ``evaluate`` calls.  It must return exactly the values ``evaluate``
-        would, so a run's trajectory does not depend on which of the two
-        scores it.  The shipped evaluators route
-        this hook through the staged :class:`~repro.ea.pipeline.FitnessPipeline`,
-        whose cache tiers only ever serve exact values.
-    mutation_operator:
-        Optional variation operator ``operator(parent_genotype,
-        mutation_rate, rng)`` returning the child genotype.  Defaults to
-        the array-genotype mutation, drawn for the whole generation at
-        once by :func:`~repro.ea.mutation.mutate_population`.  Supplying
-        an operator turns the strategy into a generic (1+λ) search over
-        arbitrary genotype types (e.g. the adversarial
-        :class:`~repro.scenarios.FaultScenario` search in
-        :mod:`repro.scenarios.search`); such callers must pass a
-        ``seed_genotype`` (there is no generic random initialiser), the
-        operator is applied once per offspring, and its offspring record
-        no reconfigurations.  The final parent's ``copy()`` becomes
-        :attr:`EvolutionResult.best`.
+
+    Examples
+    --------
+    Walk an integer vector to the origin, one ±1 step per mutated gene:
+
+    >>> def step(genome, rate, rng):
+    ...     child = list(genome)
+    ...     for gene in rng.choice(len(child), size=rate, replace=False):
+    ...         child[gene] += int(rng.choice([-1, 1]))
+    ...     return tuple(child)
+    >>> es = OnePlusLambdaES(
+    ...     lambda genomes: [sum(map(abs, genome)) for genome in genomes],
+    ...     step, n_offspring=4, mutation_rate=1, rng=0)
+    >>> result = es.run(100, seed_genotype=(3, -2, 4), target_fitness=0)
+    >>> result.best, result.best_fitness
+    ((0, 0, 0), 0.0)
+    >>> result.n_evaluations == 1 + 4 * result.n_generations
+    True
     """
 
     def __init__(
         self,
-        evaluate: Callable[[Genotype], float],
-        spec: GenotypeSpec = GenotypeSpec(),
+        evaluate_population: Callable[[Sequence[Any]], Sequence[float]],
+        mutation_operator: Callable[[Any, int, np.random.Generator], Any],
         n_offspring: int = 8,
         mutation_rate: int = 3,
         rng: Union[int, np.random.Generator, None] = None,
         accept_equal: bool = True,
-        evaluate_population: Optional[
-            Callable[[Sequence[Genotype]], Sequence[float]]
-        ] = None,
-        mutation_operator: Optional[Callable] = None,
     ) -> None:
         if n_offspring < 1:
             raise ValueError(f"n_offspring must be >= 1, got {n_offspring}")
-        if mutation_operator is None and not 1 <= mutation_rate <= spec.n_genes:
-            # Checked before any run evaluates, as the platform drivers
-            # do; a custom operator defines its own rates.
-            raise ValueError(f"mutation_rate must be in [1, {spec.n_genes}], got {mutation_rate}")
         if mutation_rate < 1:
             raise ValueError(f"mutation_rate must be >= 1, got {mutation_rate}")
-        self.evaluate = evaluate
-        self.spec = spec
+        self.evaluate_population = evaluate_population
+        self.mutation_operator = mutation_operator
         self.n_offspring = n_offspring
         self.mutation_rate = mutation_rate
         self.accept_equal = accept_equal
-        self.evaluate_population = evaluate_population
-        self.mutation_operator = mutation_operator
         self.rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
-    # ------------------------------------------------------------------ #
-    def _offspring(self, parent) -> Tuple[list, int]:
-        """The generation's λ offspring, drawn in order from ``self.rng``,
-        and the reconfigurations they cost."""
-        if self.mutation_operator is None:
-            generation = mutate_population(
-                parent, self.mutation_rate, self.rng, self.n_offspring
-            )
-            return (
-                [mutation.genotype for mutation in generation],
-                sum(mutation.n_reconfigurations for mutation in generation),
-            )
-        return [
-            self.mutation_operator(parent, self.mutation_rate, self.rng)
-            for _ in range(self.n_offspring)
-        ], 0
-
-    def _initial_parent(self, seed_genotype: Optional[Genotype]):
-        if seed_genotype is not None:
-            return seed_genotype
-        if self.mutation_operator is not None:
-            raise ValueError(
-                "a custom mutation_operator requires an explicit seed_genotype "
-                "(no generic random initialiser exists)"
-            )
-        return Genotype.random(self.spec, self.rng)
+    def _score(self, genomes: Sequence[Any]) -> List[float]:
+        return [float(value) for value in self.evaluate_population(genomes)]
 
     def run(
         self,
         n_generations: int,
-        seed_genotype: Optional[Genotype] = None,
+        seed_genotype: Any,
         target_fitness: Optional[float] = None,
     ) -> EvolutionResult:
         """Run the strategy for ``n_generations`` generations.
@@ -202,9 +162,7 @@ class OnePlusLambdaES:
         n_generations:
             Generation budget.
         seed_genotype:
-            Optional starting parent ("randomly for the first generation or
-            choosing the best candidate of the previous generation", §III.A);
-            when omitted a random parent is drawn.
+            The starting parent.
         target_fitness:
             Optional early-stop threshold: evolution stops once the parent
             fitness is at or below this value.
@@ -215,24 +173,23 @@ class OnePlusLambdaES:
         """
         if n_generations < 0:
             raise ValueError("n_generations must be non-negative")
-        parent = self._initial_parent(seed_genotype)
-        parent_fitness = self.evaluate(parent)
+        parent = seed_genotype
+        (parent_fitness,) = self._score([parent])
         history: List[GenerationRecord] = []
         for generation in range(1, n_generations + 1):
-            genotypes, n_reconfigurations = self._offspring(parent)
-            if self.evaluate_population is not None:
-                fitnesses = [float(value) for value in self.evaluate_population(genotypes)]
-            else:
-                fitnesses = [float(self.evaluate(genotype)) for genotype in genotypes]
+            offspring = [
+                self.mutation_operator(parent, self.mutation_rate, self.rng)
+                for _ in range(self.n_offspring)
+            ]
+            fitnesses = self._score(offspring)
             chosen = select(fitnesses, parent_fitness, self.accept_equal)
             if chosen is not None:
-                parent, parent_fitness = genotypes[chosen], fitnesses[chosen]
+                parent, parent_fitness = offspring[chosen], fitnesses[chosen]
             history.append(
                 GenerationRecord(
                     generation=generation,
                     best_fitness=min(fitnesses),
                     parent_fitness=parent_fitness,
-                    n_reconfigurations=n_reconfigurations,
                     accepted=chosen is not None,
                 )
             )
@@ -240,9 +197,9 @@ class OnePlusLambdaES:
                 break
 
         return EvolutionResult(
-            best=Individual(genotype=parent.copy(), fitness=parent_fitness),
+            best=parent,
+            best_fitness=parent_fitness,
             history=history,
             n_generations=len(history),
             n_evaluations=1 + len(history) * self.n_offspring,
-            n_reconfigurations=sum(record.n_reconfigurations for record in history),
         )

@@ -18,12 +18,11 @@ evolutionary machinery at the *scenario space*:
 * the outer loop is the existing
   :class:`~repro.ea.strategy.OnePlusLambdaES`, which accepts offspring
   through the same :func:`~repro.ea.strategy.select` rule as the platform
-  drivers, with a custom ``mutation_operator`` that returns the child
-  scenario itself (a scenario has no PEs, so the drivers' placement and
-  reconfiguration accounting does not apply to it, and each offspring
-  records zero reconfigurations); its fitness is the mission degradation (or
-  time-to-repair) of a *fixed* §V.A healing policy run through the
-  ``scenario-lifecycle`` campaign runner — one
+  drivers, with a ``mutation_operator`` that returns the child scenario
+  itself (a scenario has no PEs, so the drivers' placement and
+  reconfiguration accounting does not apply to it); its fitness is the
+  mission degradation (or time-to-repair) of a *fixed* §V.A healing
+  policy run through the ``scenario-lifecycle`` campaign runner — one
   :class:`~repro.runtime.campaign.CampaignSpec` per search generation, so
   the serial/thread/process/distributed executors, the
   content-addressed dedupe cache and the resumable
@@ -724,7 +723,7 @@ def evaluate_mission(
 
 
 class _MissionEvaluator:
-    """Adapts campaign evaluation to the ES's ``evaluate``/``evaluate_population``.
+    """Adapts campaign evaluation to the ES's ``evaluate_population`` hook.
 
     Each call becomes one campaign (sequentially indexed, so a re-run of
     the same search resumes every generation's store and hits the dedupe
@@ -791,9 +790,6 @@ class _MissionEvaluator:
             ))
             fitnesses.append(-float(record["metrics"][self.objective_key]))
         return fitnesses
-
-    def evaluate(self, scenario: FaultScenario) -> float:
-        return self.evaluate_population([scenario])[0]
 
 
 # --------------------------------------------------------------------------- #
@@ -901,14 +897,13 @@ def red_team_search(
         config.bounds, archive=archive, crossover_rate=config.crossover_rate
     )
     strategy = OnePlusLambdaES(
-        evaluate=evaluator.evaluate,
+        evaluator.evaluate_population,
+        operator,
         n_offspring=config.n_offspring,
         mutation_rate=config.mutation_moves,
         rng=np.random.default_rng(
             np.random.SeedSequence([_REDTEAM_STREAM_TAG, int(config.seed)])
         ),
-        evaluate_population=evaluator.evaluate_population,
-        mutation_operator=operator,
     )
     outcome = strategy.run(
         config.n_generations,
@@ -927,8 +922,8 @@ def red_team_search(
         config=config,
         archive=archive,
         trajectory=trajectory,
-        best_scenario=outcome.best.genotype,
-        best_fitness=float(outcome.best.fitness),
+        best_scenario=outcome.best,
+        best_fitness=float(outcome.best_fitness),
         n_evaluations=int(outcome.n_evaluations),
         n_campaigns=evaluator.n_campaigns,
         status_counts=dict(evaluator.status_counts),

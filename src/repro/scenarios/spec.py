@@ -141,15 +141,6 @@ class FaultScenario(_ConfigBase):
         data["lpd_onsets"] = [list(pair) for pair in self.lpd_onsets]
         return data
 
-    def copy(self) -> "FaultScenario":
-        """Return ``self`` — scenarios are frozen, so no copy is needed.
-
-        Exists so a scenario can serve as a genotype of the adversarial
-        search (:mod:`repro.scenarios.search`), whose (1+λ) strategy
-        copies its final parent into the result.
-        """
-        return self
-
 
 #: Registry of built-in (and plugin) fault scenarios, keyed by name.
 SCENARIOS = Registry("fault scenario")

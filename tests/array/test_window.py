@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.array.window import N_WINDOW_PIXELS, WINDOW_SIZE, extract_windows, window_offsets
+from repro.array.window import (
+    N_WINDOW_PIXELS,
+    WINDOW_SIZE,
+    extract_windows,
+    freeze_planes,
+    window_offsets,
+)
 
 
 class TestWindowOffsets:
@@ -68,3 +74,13 @@ class TestExtractWindows:
         img = np.full((8, 8), 99, dtype=np.uint8)
         planes = extract_windows(img)
         assert np.all(planes == 99)
+
+
+class TestFreezePlanes:
+    def test_equal_to_extracted_planes_and_never_writeable(self):
+        img = np.arange(48, dtype=np.uint8).reshape(6, 8)
+        planes = freeze_planes(extract_windows(img))
+        assert np.array_equal(planes, extract_windows(img))
+        assert not planes.flags.writeable
+        with pytest.raises(ValueError):
+            planes.flags.writeable = True

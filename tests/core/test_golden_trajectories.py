@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.array.genotype import Genotype
-from repro.array.systolic_array import SystolicArray
 from repro.core.evolution import (
     CascadedEvolution,
     ImitationEvolution,
@@ -29,8 +28,6 @@ from repro.core.evolution import (
 from repro.core.modes import CascadeFitnessMode, CascadeSchedule
 from repro.core.platform import EvolvableHardwarePlatform
 from repro.core.two_level_ea import TwoLevelMutationEvolution
-from repro.ea.fitness import FitnessEvaluator
-from repro.ea.strategy import OnePlusLambdaES
 from repro.imaging.images import make_training_pair
 
 BACKENDS = ("reference", "numpy", "compiled")
@@ -106,26 +103,15 @@ def imitation(backend, faults):
     return result_digest(driver.run(0, 1, data.training, N_GENERATIONS))
 
 
-def one_plus_lambda(backend):
-    """A (1+lambda) ES run on a faulty single array."""
+def parallel_one_array(backend, fault=None):
+    """The paper's single-array (1+lambda) ES: a one-array parallel run,
+    optionally with one permanent fault at ``fault`` = (row, col) on array 0."""
     data = pair()
-    array = SystolicArray(backend=backend)
-    array.inject_fault((1, 1), seed=77)
-    evaluator = FitnessEvaluator(array, data.training, data.reference)
-    es = OnePlusLambdaES(evaluator.evaluate, n_offspring=9, mutation_rate=3, rng=RNG)
-    result = es.run(n_generations=N_GENERATIONS)
-    return digest(
-        {
-            "best_fitness": result.best.fitness,
-            "best_genotype": result.best.genotype.to_flat().tolist(),
-            "history": [
-                [r.best_fitness, r.parent_fitness, r.n_reconfigurations, r.accepted]
-                for r in result.history
-            ],
-            "n_evaluations": result.n_evaluations,
-            "n_reconfigurations": result.n_reconfigurations,
-        }
-    )
+    platform = make_platform(backend, "healthy")
+    if fault is not None:
+        platform.inject_permanent_fault(0, *fault)
+    driver = ParallelEvolution(platform, n_offspring=9, mutation_rate=3, rng=RNG, n_arrays=1)
+    return result_digest(driver.run(data.training, data.reference, N_GENERATIONS))
 
 
 def _cases():
@@ -143,7 +129,10 @@ def _cases():
                 )
         cases[f"imitation-{faults}"] = partial(imitation, faults=faults)
     cases["parallel-mixed-burst"] = partial(parallel, faults="healthy", scenario="mixed-burst")
-    cases["one-plus-lambda-es"] = one_plus_lambda
+    cases["parallel-one-array-healthy"] = parallel_one_array
+    # The faulty platform's PEs (1, 1) and (2, 0) carry no accepted circuit
+    # of a one-array run; an output fault at (2, 3) does.
+    cases["parallel-one-array-output-fault"] = partial(parallel_one_array, fault=(2, 3))
     return cases
 
 
@@ -165,10 +154,11 @@ imitation-faulty 0301c5a1c52a0f7ae124dcce7bfa85883ba65b349234851e662d81927173dcd
 imitation-healthy fd447d250976cb04ff6f5c68d79eb26d57627b30478dfe266afc034314882168
 independent-faulty 3a4d8d0bb48abb61615919e1e4cbe3a43bd2945b2f996ce26ae617781b66cd74
 independent-healthy 3d9fdd154b969777e4b7062ca052d2e253ad2befcfa3b021ee298dac7018e61d
-one-plus-lambda-es e940348464e49ad3aa2b027dd2e5a353897c80538c30c8ed615031258c622175
 parallel-faulty f792197487046932ba8612849e276bcbe38b462d704c2a5d040a35ed74bf8a35
 parallel-healthy f792197487046932ba8612849e276bcbe38b462d704c2a5d040a35ed74bf8a35
 parallel-mixed-burst 2f1116597fefef78a39145df81623f4b99c39c39a4a1b318db84fdc8fe40b951
+parallel-one-array-healthy 1901620b945e850ffb37e4e77384a7f2dd32ed22fbb077b3a26d876f5971562c
+parallel-one-array-output-fault 62910b55ee94fb251a5929416513b8b5623f1cabc72e6d5e5af0971f8233d0ab
 two-level-faulty c5826626907d21fd9b066cf74bca49eca4e7ab9f113ef577b189e2ee7d31998d
 two-level-healthy 17e82dd4773de0f1041db47d4a7f2f572348da8feb66ea0c4e1daadfd059fe01
 """.strip().splitlines()

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.array.genotype import Genotype
+from repro.array.window import extract_windows
+from repro.backends.numpy_engine import _immutable
 from repro.core.modes import ProcessingMode
 from repro.core.platform import EvolvableHardwarePlatform
 from repro.soc.memory import MemoryRegion
@@ -166,3 +168,10 @@ class TestFaultsAndCalibration:
     def test_check_calibration_requires_baseline(self, configured_platform, medium_image):
         with pytest.raises(RuntimeError):
             configured_platform.check_calibration(medium_image, medium_image)
+
+    def test_calibration_planes_view_an_immutable_buffer(self, platform, medium_image):
+        # The numpy engine's plane store skips its per-call snapshot compare
+        # only for planes it can prove immutable.
+        planes = platform.calibration_planes(medium_image)
+        assert _immutable(planes)
+        assert np.array_equal(planes, extract_windows(medium_image))

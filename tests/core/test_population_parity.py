@@ -20,7 +20,6 @@ from repro.array.window import extract_windows
 from repro.core.evolution import ArrayEvalContext, ParallelEvolution
 from repro.core.platform import EvolvableHardwarePlatform
 from repro.core.two_level_ea import TwoLevelMutationEvolution
-from repro.ea.fitness import FitnessEvaluator
 from repro.ea.mutation import mutate, mutate_population, population_mutator
 from repro.imaging.images import make_training_pair
 from repro.imaging.metrics import sae
@@ -404,19 +403,3 @@ class TestFitnessCacheTelemetry:
             rng=11,
         ).run(pair.training, pair.reference, n_generations=6)
         assert two_level.fitness_cache_stats["misses"] > 0
-
-
-# --------------------------------------------------------------------------- #
-# Single-array (1+lambda) strategy
-# --------------------------------------------------------------------------- #
-class TestOnePlusLambdaPopulation:
-    def _evaluator(self, pair, backend="numpy"):
-        array = SystolicArray(backend=backend)
-        return FitnessEvaluator(array, pair.training, pair.reference)
-
-    def test_evaluator_population_matches_scalar(self, pair):
-        evaluator = self._evaluator(pair, backend="reference")
-        genotypes = [Genotype.random(rng=np.random.default_rng(s)) for s in range(6)]
-        values = evaluator.evaluate_population(genotypes)
-        assert values == [evaluator.evaluate(g) for g in genotypes]
-        assert evaluator.n_evaluations == 12

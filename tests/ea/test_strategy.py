@@ -5,110 +5,113 @@ import math
 import numpy as np
 import pytest
 
-from repro.array.genotype import Genotype
 from repro.ea.strategy import OnePlusLambdaES, select
 
 
-def _counting_fitness(spec):
-    """A cheap synthetic fitness: count of non-identity function genes."""
-    from repro.array.pe_library import PEFunction
+N_GENES = 16
 
-    def evaluate(genotype):
-        return float(np.count_nonzero(
-            genotype.function_genes != int(PEFunction.IDENTITY_W)
-        ))
 
-    return evaluate
+def _redraw(genome, rate, rng):
+    """Toy operator: redraw ``rate`` distinct genes of an int vector in [0, 4)."""
+    child = genome.copy()
+    child[rng.choice(len(child), size=rate, replace=False)] = rng.integers(0, 4, size=rate)
+    return child
+
+
+def _nonzero(genomes):
+    """Toy population fitness: the number of non-zero genes of each genome."""
+    return [float(np.count_nonzero(genome)) for genome in genomes]
+
+
+def _seed():
+    return np.full(N_GENES, 3)
+
+
+def _es(**kwargs):
+    return OnePlusLambdaES(_nonzero, _redraw, **kwargs)
 
 
 class TestOnePlusLambda:
-    def test_monotone_parent_fitness(self, spec):
-        es = OnePlusLambdaES(_counting_fitness(spec), spec=spec, n_offspring=4,
-                             mutation_rate=2, rng=0)
-        result = es.run(n_generations=40)
+    def test_monotone_parent_fitness(self):
+        result = _es(n_offspring=4, mutation_rate=2, rng=0).run(40, _seed())
         trace = [record.parent_fitness for record in result.history]
         assert np.all(np.diff(trace) <= 0)  # parent never gets worse
 
-    def test_improves_over_random(self, spec):
-        es = OnePlusLambdaES(_counting_fitness(spec), spec=spec, n_offspring=6,
-                             mutation_rate=2, rng=1)
-        result = es.run(n_generations=150)
-        assert result.best_fitness < 8  # random start averages ~15 non-identity genes
+    def test_improves_over_the_seed(self):
+        result = _es(n_offspring=6, mutation_rate=2, rng=1).run(150, _seed())
+        assert result.best_fitness < 8  # the seed has 16 non-zero genes
 
-    def test_target_fitness_early_stop(self, spec):
-        es = OnePlusLambdaES(_counting_fitness(spec), spec=spec, n_offspring=6,
-                             mutation_rate=2, rng=1)
-        result = es.run(n_generations=10_000, target_fitness=5.0)
+    def test_target_fitness_early_stop(self):
+        result = _es(n_offspring=6, mutation_rate=2, rng=1).run(
+            10_000, _seed(), target_fitness=5.0
+        )
         assert result.best_fitness <= 5.0
         assert result.n_generations < 10_000
 
-    def test_seed_genotype_used(self, spec, rng):
-        seed = Genotype.identity(spec)
-        es = OnePlusLambdaES(_counting_fitness(spec), spec=spec, n_offspring=2,
-                             mutation_rate=1, rng=0)
-        result = es.run(n_generations=0, seed_genotype=seed)
-        assert result.best.genotype == seed
+    def test_seed_genotype_used(self):
+        seed = np.zeros(N_GENES, dtype=int)
+        result = _es(n_offspring=2, mutation_rate=1, rng=0).run(0, seed)
+        assert result.best is seed
         assert result.best_fitness == 0.0
 
-    def test_evaluation_count(self, spec):
-        es = OnePlusLambdaES(_counting_fitness(spec), spec=spec, n_offspring=5,
-                             mutation_rate=1, rng=0)
-        result = es.run(n_generations=10)
+    def test_seed_scored_as_a_population_of_one_then_one_call_per_generation(self):
+        calls = []
+
+        def evaluate_population(genomes):
+            calls.append(len(genomes))
+            return _nonzero(genomes)
+
+        OnePlusLambdaES(evaluate_population, _redraw, n_offspring=5, rng=0).run(3, _seed())
+        assert calls == [1, 5, 5, 5]
+
+    def test_evaluation_count(self):
+        result = _es(n_offspring=5, mutation_rate=1, rng=0).run(10, _seed())
         # 1 parent evaluation + 10 generations x 5 offspring.
         assert result.n_evaluations == 1 + 10 * 5
 
-    def test_history_records(self, spec):
-        es = OnePlusLambdaES(_counting_fitness(spec), spec=spec, n_offspring=3,
-                             mutation_rate=1, rng=0)
-        result = es.run(n_generations=7)
-        assert len(result.history) == 7
-        assert result.history[0].generation == 1
-        assert all(r.n_reconfigurations >= 0 for r in result.history)
+    def test_history_records(self):
+        result = _es(n_offspring=3, mutation_rate=1, rng=0).run(7, _seed())
+        assert [r.generation for r in result.history] == list(range(1, 8))
+        previous = float(N_GENES)
+        for record in result.history:
+            assert record.accepted == (record.best_fitness <= previous)
+            assert record.parent_fitness == min(record.best_fitness, previous)
+            previous = record.parent_fitness
+        assert previous == result.best_fitness
 
-    def test_zero_generations(self, spec):
-        es = OnePlusLambdaES(_counting_fitness(spec), spec=spec, rng=0)
-        result = es.run(n_generations=0)
+    def test_zero_generations(self):
+        result = _es(rng=0).run(0, _seed())
         assert result.n_generations == 0
-        assert math.isfinite(result.best_fitness)
+        assert result.n_evaluations == 1
+        assert result.best_fitness == float(N_GENES)
 
-    def test_invalid_parameters(self, spec):
+    def test_invalid_parameters(self):
         with pytest.raises(ValueError):
-            OnePlusLambdaES(_counting_fitness(spec), spec=spec, n_offspring=0)
+            _es(n_offspring=0)
         with pytest.raises(ValueError):
-            OnePlusLambdaES(_counting_fitness(spec), spec=spec, mutation_rate=0)
-        es = OnePlusLambdaES(_counting_fitness(spec), spec=spec)
+            _es(mutation_rate=0)
         with pytest.raises(ValueError):
-            es.run(n_generations=-1)
+            _es().run(-1, _seed())
 
-    def test_mutation_rate_above_gene_count_rejected_before_any_work(self, spec):
-        """An over-large rate fails at construction, before the initial
-        parent is evaluated."""
-        calls = []
-        with pytest.raises(ValueError, match="mutation_rate"):
-            OnePlusLambdaES(
-                lambda genotype: calls.append("eval") or 0.0,
-                spec=spec,
-                mutation_rate=spec.n_genes + 1,
-            )
-        assert calls == []
-        # The top of the range is still accepted, and a custom operator
-        # keeps its own meaning of the rate.
-        OnePlusLambdaES(_counting_fitness(spec), spec=spec, mutation_rate=spec.n_genes)
-        OnePlusLambdaES(
-            _counting_fitness(spec),
-            spec=spec,
-            mutation_rate=spec.n_genes + 1,
-            mutation_operator=lambda genotype, rate, rng: None,
-        )
+    def test_run_requires_a_seed_genome(self):
+        with pytest.raises(TypeError):
+            _es(rng=0).run(5)
 
-    def test_accept_equal_false_keeps_parent(self, spec):
+    def test_accept_equal_false_keeps_parent(self):
         # With a constant fitness the parent is never replaced when
-        # accept_equal is disabled, so the best genotype equals the seed.
-        es = OnePlusLambdaES(lambda g: 1.0, spec=spec, n_offspring=3,
-                             mutation_rate=1, rng=0, accept_equal=False)
-        seed = Genotype.identity(spec)
-        result = es.run(n_generations=5, seed_genotype=seed)
-        assert result.best.genotype == seed
+        # accept_equal is disabled, so the best genome is the seed.
+        es = OnePlusLambdaES(
+            lambda genomes: [1.0] * len(genomes),
+            _redraw,
+            n_offspring=3,
+            mutation_rate=1,
+            rng=0,
+            accept_equal=False,
+        )
+        seed = _seed()
+        result = es.run(5, seed)
+        assert result.best is seed
+        assert not any(record.accepted for record in result.history)
 
 
 class TestSelect:
