@@ -113,6 +113,37 @@ class TestOnePlusLambda:
         assert result.best is seed
         assert not any(record.accepted for record in result.history)
 
+    def test_operator_mutates_the_current_parent_at_the_configured_rate(self):
+        # Each generation draws λ children from the parent then in force,
+        # at rate k, and the ES never mutates a genome in place.
+        calls = []
+
+        def operator(parent, rate, rng):
+            calls.append((parent.copy(), rate))
+            return _redraw(parent, rate, rng)
+
+        seed = _seed()
+        result = OnePlusLambdaES(
+            _nonzero, operator, n_offspring=3, mutation_rate=2, rng=4
+        ).run(6, seed)
+        assert np.array_equal(seed, _seed())
+        assert len(calls) == 6 * 3
+        assert all(rate == 2 for _, rate in calls)
+        # Every child of a generation comes from the same parent, and
+        # that parent scores what the previous generation's record says.
+        previous = float(N_GENES)
+        for generation, record in enumerate(result.history):
+            parents = [parent for parent, _ in calls[3 * generation: 3 * generation + 3]]
+            assert all(np.array_equal(parent, parents[0]) for parent in parents)
+            assert float(np.count_nonzero(parents[0])) == previous
+            previous = record.parent_fitness
+
+    def test_same_seed_same_run(self):
+        first = _es(n_offspring=4, mutation_rate=3, rng=9).run(25, _seed())
+        second = _es(n_offspring=4, mutation_rate=3, rng=9).run(25, _seed())
+        assert np.array_equal(first.best, second.best)
+        assert first.history == second.history
+
 
 class TestSelect:
     """The one (1+λ) acceptance rule shared by the ES and every driver."""
