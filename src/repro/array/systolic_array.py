@@ -39,7 +39,7 @@ corresponding to a dummy PE, which generates a random value in its output").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -50,6 +50,45 @@ if TYPE_CHECKING:  # pragma: no cover - runtime import stays lazy (cycle guard)
     from repro.backends.base import EvaluationBackend
 
 __all__ = ["ArrayGeometry", "SystolicArray"]
+
+
+def _draw_planes(rng: np.random.Generator, n: int, h: int, w: int) -> np.ndarray:
+    """The next ``n`` ``(h, w)`` garbage planes of ``rng``, as one block.
+
+    Each plane is the bytes of ``ceil(h*w/4)`` ``next_uint32`` words, low
+    byte first, its last word's unused bytes dropped; the words and the
+    final generator state are those of one full-range uint32 ``integers``
+    call.  NumPy's PCG64 serves a uint32 from the low half of a fresh
+    64-bit output and buffers the high half (``has_uint32``,
+    ``uinteger``) for the next one.  So with nothing buffered, the
+    block's ``m`` words are the little-endian bytes of ``ceil(m/2)`` raw
+    outputs, and the state ``integers`` would leave is the raw state plus
+    ``has_uint32 = m & 1`` and ``uinteger`` = the high half of the last
+    output (stale when ``m`` is even, but part of the state all the same).
+    Any other generator, or a buffered half word, takes the ``integers``
+    call.  ``"<u8"`` and ``"<u4"`` keep the byte order on any host.
+    """
+    hw = h * w
+    per_plane = -(-hw // 4)
+    m = n * per_plane
+    if (
+        m
+        and type(rng) is np.random.Generator
+        and type(rng.bit_generator) is np.random.PCG64
+        and not rng.bit_generator.state["has_uint32"]
+    ):
+        bit_generator = rng.bit_generator
+        raw = bit_generator.random_raw((m + 1) // 2)
+        state = bit_generator.state
+        state["has_uint32"] = m & 1
+        state["uinteger"] = int(raw[-1]) >> 32
+        bit_generator.state = state
+        data = raw.astype("<u8", copy=False).view(np.uint8)[: 4 * m]
+    else:
+        words = rng.integers(0, 1 << 32, size=m, dtype=np.uint32)
+        data = words.astype("<u4", copy=False).view(np.uint8)
+    return data.reshape(n, 4 * per_plane)[:, :hw].reshape(n, h, w)
+
 
 @dataclass(frozen=True)
 class ArrayGeometry:
@@ -130,6 +169,13 @@ class SystolicArray:
         # generator in place instead of seeding a new one, and
         # reset_fault_streams() rewinds a reused array from these records.
         self._fault_starts: Dict[Tuple[int, int], Tuple[int, np.random.Generator, dict]] = {}
+        # Positions whose stream sits at its seeded start, untouched since
+        # _spawn_fault_rng rewound it, and the first block last drawn from
+        # each such start: ((seed, n, h, w), planes, end state).  Every
+        # fault sync rewinds the streams, so most detections redraw a known
+        # block; see draw_fault_planes.
+        self._fault_rewound: Set[Tuple[int, int]] = set()
+        self._fault_first: Dict[Tuple[int, int], Tuple[tuple, np.ndarray, dict]] = {}
         if faults:
             for position, seed in faults.items():
                 self.inject_fault(position, seed)
@@ -178,6 +224,7 @@ class SystolicArray:
 
     def _spawn_fault_rng(self, position: Tuple[int, int], seed: int) -> np.random.Generator:
         """A generator at the start of ``seed``'s stream, for ``position``."""
+        self._fault_rewound.add(position)
         start = self._fault_starts.get(position)
         if start is not None and start[0] == seed:
             _, rng, state = start
@@ -203,11 +250,14 @@ class SystolicArray:
 
     def clear_fault(self, position: Tuple[int, int]) -> None:
         """Remove a previously injected fault (used by tests and scrubbing of SEUs)."""
-        self._fault_rngs.pop(self._check_position(position), None)
+        position = self._check_position(position)
+        self._fault_rngs.pop(position, None)
+        self._fault_rewound.discard(position)
 
     def clear_all_faults(self) -> None:
         """Remove every injected fault."""
         self._fault_rngs.clear()
+        self._fault_rewound.clear()
 
     def reset_fault_streams(self) -> None:
         """Rewind every fault stream to the start of its seeded sequence.
@@ -250,8 +300,13 @@ class SystolicArray:
 
         Draw from it within one evaluation only: re-injecting the seed a
         position last used rewinds the same generator object in place.
+        Handing the generator out ends the position's rewound mark, so the
+        next :meth:`draw_fault_planes` draws from wherever the caller left
+        the stream instead of replaying the memoised first block.
         """
-        return self._fault_rngs[position]
+        rng = self._fault_rngs[position]
+        self._fault_rewound.discard(position)
+        return rng
 
     def draw_fault_planes(self, position: Tuple[int, int], n: int, h: int, w: int) -> np.ndarray:
         """The next ``n`` garbage planes of a faulty position, as one block.
@@ -262,16 +317,35 @@ class SystolicArray:
         return, and leaves the generator in the same state.  NumPy's
         full-range uint8 sampler takes the bytes of one ``next_uint32``
         word at a time, low byte first, and drops the unused bytes of its
-        last word per call; a full-range uint32 draw returns those same
-        words, so one call of ``ceil(h*w/4)`` words per plane replaces
-        ``n`` calls (``tests/backends/test_fault_draws.py`` pins this on
-        four bit generators).  ``"<u4"`` keeps the byte order on any host.
+        last word per call; so one draw of ``ceil(h*w/4)`` words per plane
+        replaces ``n`` calls (``tests/backends/test_fault_draws.py`` pins
+        this on four bit generators).  NumPy's own PCG64 hands those words
+        out as raw 64-bit outputs, two at a time (``_draw_planes``); any
+        other generator takes one full-range uint32 ``integers`` call.
+
+        A stream that ``_spawn_fault_rng`` has just rewound to its seed
+        (every fault sync does) yields the same first block each time.  So
+        the first draw after a rewind is memoised per position, with the
+        end state it leaves; a repeat of the same ``(seed, n, h, w)`` from
+        the same generator object sets that state and returns a copy of
+        the block.  A stream drawn from in any other way since the rewind
+        (:meth:`fault_rng` hands it out, or a different generator was put
+        in its place) draws afresh.
         """
-        hw = h * w
-        words = self._fault_rngs[position].integers(
-            0, 1 << 32, size=(n, -(-hw // 4)), dtype=np.uint32
-        )
-        return words.astype("<u4", copy=False).view(np.uint8)[:, :hw].reshape(n, h, w)
+        rng = self._fault_rngs[position]
+        if position in self._fault_rewound:
+            self._fault_rewound.discard(position)
+            seed, start_rng, _ = self._fault_starts[position]
+            if rng is start_rng:
+                key = (seed, n, h, w)
+                first = self._fault_first.get(position)
+                if first is not None and first[0] == key:
+                    rng.bit_generator.state = first[2]
+                    return first[1].copy()
+                planes = _draw_planes(rng, n, h, w)
+                self._fault_first[position] = (key, planes.copy(), rng.bit_generator.state)
+                return planes
+        return _draw_planes(rng, n, h, w)
 
     # ------------------------------------------------------------------ #
     # Evaluation

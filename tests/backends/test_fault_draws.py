@@ -8,11 +8,15 @@ as a single block (``SystolicArray.draw_fault_planes``); these tests pin
 that block to the per-call oracle byte for byte, down to the final
 generator state, on four bit generators — and pin that the population
 paths make exactly one generator call per faulty position per evaluation.
+The first block drawn after a rewind is memoised per position; the memo
+tests pin that a replay is the draw it replaces, and that a stream drawn
+from in any other way since its rewind is never replayed.
 """
 
 import numpy as np
 import pytest
 
+import repro.array.systolic_array as systolic_array_module
 from repro.array.genotype import Genotype
 from repro.array.systolic_array import SystolicArray
 from repro.array.window import extract_windows
@@ -128,3 +132,101 @@ class TestOneCallPerFaultyPosition:
         array, streams = self._counting_array(backend)
         array.evaluate_population(planes, genotypes, reference)
         assert [s.calls for s in streams.values()] == [1] * len(self.FAULTS)
+
+
+SEED = 2013
+
+
+def per_call_planes(rng, n, h, w):
+    """The per-call oracle: ``n`` successive uint8 plane draws."""
+    return np.stack([rng.integers(0, 256, size=(h, w), dtype=np.uint8) for _ in range(n)])
+
+
+def rewound_array():
+    """An array with one fault at ``POSITION``, its stream at the seed's start."""
+    array = SystolicArray()
+    array.inject_fault(POSITION, SEED)
+    return array
+
+
+def rewind(array):
+    """What every fault sync does: clear the faults, re-inject the same seed."""
+    array.clear_all_faults()
+    array.inject_fault(POSITION, SEED)
+
+
+class TestRewoundFirstBlock:
+    def test_replay_is_the_first_draw_and_leaves_its_state(self, monkeypatch):
+        array = rewound_array()
+        first = array.draw_fault_planes(POSITION, 3, 9, 7)
+        first_state = array.fault_rng(POSITION).bit_generator.state
+        rewind(array)
+        drawn = []
+        original = systolic_array_module._draw_planes
+        monkeypatch.setattr(
+            systolic_array_module,
+            "_draw_planes",
+            lambda *args: drawn.append(args) or original(*args),
+        )
+        second = array.draw_fault_planes(POSITION, 3, 9, 7)
+
+        assert drawn == []  # served from the memo
+        assert second.tobytes() == first.tobytes() and second.flags.writeable
+        assert np.array_equal(second, per_call_planes(np.random.default_rng(SEED), 3, 9, 7))
+        assert same_state(array.fault_rng(POSITION).bit_generator.state, first_state)
+
+    def test_handed_out_stream_is_never_replayed(self):
+        array = rewound_array()
+        array.draw_fault_planes(POSITION, 2, 8, 8)
+        rewind(array)
+        oracle = np.random.default_rng(SEED)
+        oracle.integers(0, 256, size=5, dtype=np.uint8)
+        array.fault_rng(POSITION).integers(0, 256, size=5, dtype=np.uint8)
+
+        planes = array.draw_fault_planes(POSITION, 2, 8, 8)
+
+        assert np.array_equal(planes, per_call_planes(oracle, 2, 8, 8))
+        assert same_state(array.fault_rng(POSITION).bit_generator.state, oracle.bit_generator.state)
+
+    def test_swapped_in_generator_is_never_replayed(self):
+        array = rewound_array()
+        array.draw_fault_planes(POSITION, 2, 8, 8)
+        rewind(array)
+        swapped = np.random.default_rng(SEED + 1)
+        array._fault_rngs[POSITION] = swapped
+
+        planes = array.draw_fault_planes(POSITION, 2, 8, 8)
+
+        oracle = np.random.default_rng(SEED + 1)
+        assert np.array_equal(planes, per_call_planes(oracle, 2, 8, 8))
+        assert same_state(swapped.bit_generator.state, oracle.bit_generator.state)
+
+    def test_a_longer_block_after_a_cached_one_is_drawn(self):
+        array = rewound_array()
+        array.draw_fault_planes(POSITION, 1, 16, 16)
+        rewind(array)
+
+        planes = array.draw_fault_planes(POSITION, 9, 16, 16)
+
+        oracle = np.random.default_rng(SEED)
+        assert np.array_equal(planes, per_call_planes(oracle, 9, 16, 16))
+        assert same_state(array.fault_rng(POSITION).bit_generator.state, oracle.bit_generator.state)
+
+    def test_a_new_seed_at_the_position_is_drawn(self):
+        array = rewound_array()
+        array.draw_fault_planes(POSITION, 2, 8, 8)
+        array.clear_all_faults()
+        array.inject_fault(POSITION, SEED + 7)
+
+        planes = array.draw_fault_planes(POSITION, 2, 8, 8)
+
+        assert np.array_equal(planes, per_call_planes(np.random.default_rng(SEED + 7), 2, 8, 8))
+
+    def test_writing_into_a_returned_block_leaves_the_next_replay(self):
+        array = rewound_array()
+        expected = per_call_planes(np.random.default_rng(SEED), 2, 6, 6)
+        for _ in range(3):
+            planes = array.draw_fault_planes(POSITION, 2, 6, 6)
+            assert np.array_equal(planes, expected)
+            planes[...] = 0
+            rewind(array)

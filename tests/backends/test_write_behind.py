@@ -239,6 +239,7 @@ class TestConcurrency:
             for worker in workers:
                 worker.stdin.close()
                 worker.wait(timeout=60)
+                worker.stdout.close()
         index = Path(root) / PersistentFitnessCache.INDEX_FILE
         assert sorted(index_keys(index)) == [a, b, c]
         assert oracle(index) == {a: 1.0, b: 102.0, c: 103.0}

@@ -88,6 +88,32 @@ class TestDetectionParity:
             assert _fused_path(platform, task.training, task.reference) == first
         assert _image_path(platform, task.training, task.reference) == first
 
+    def test_a_repeated_detection_leaves_the_state_of_one(self, backend, task):
+        """The second detection replays the first block of each rewound
+        stream; fitness and every stream's end state are one detection's."""
+
+        def faulty():
+            platform = _platform(backend)
+            platform.inject_permanent_fault(0, 0, 2)
+            platform.inject_permanent_fault(0, 1, 1)
+            return platform, platform.acbs[0]
+
+        platform, acb = faulty()
+        planes = platform.calibration_planes(task.training)
+        first = acb.detection_fitness(planes, task.reference)
+        second = acb.detection_fitness(planes, task.reference)
+        fresh, fresh_acb = faulty()
+        once = fresh_acb.detection_fitness(fresh.calibration_planes(task.training), task.reference)
+
+        assert first == second == once
+        assert first != _platform(backend).acbs[0].detection_fitness(planes, task.reference)
+        assert acb.array.faulty_positions == ((0, 2), (1, 1))
+        for position in acb.array.faulty_positions:
+            assert (
+                acb.array.fault_rng(position).bit_generator.state
+                == fresh_acb.array.fault_rng(position).bit_generator.state
+            )
+
     @pytest.mark.parametrize("dtype", [np.int32, np.float64])
     def test_non_uint8_reference(self, backend, task, dtype):
         reference = task.reference.astype(dtype) * 2 + dtype(0.75 if dtype is np.float64 else 3)

@@ -114,6 +114,7 @@ class Worker:
     def close(self) -> None:
         self.process.stdin.close()
         self.process.wait()
+        self.process.stdout.close()
 
 
 def run_pair(sides: Dict[str, Path], first: str, workload: str, op_ids: List[int]) -> dict:
